@@ -39,6 +39,7 @@ from .holder import holder_norm, holder_seminorm, pair_bump, sup_norm, tent_bump
 from .metric import (
     FiniteMetricSpace,
     SeparatedPairFamily,
+    existing_file,
     find_pair_family,
     load_space,
     validate_metric,
@@ -108,8 +109,8 @@ def _parse_vector(text: str, length: int, seed: int) -> list[FiniteSequence]:
             FiniteSequence(tuple(rng.uniform(-2.0, 2.0, size=length)))
             for _ in range(count)
         ]
-    path = Path(text)
-    if path.exists():
+    path = existing_file(text)
+    if path:
         return [FiniteSequence(tuple(float(v) for v in json.loads(path.read_text())))]
     return [FiniteSequence(tuple(float(p) for p in text.split(",")))]
 
@@ -132,11 +133,11 @@ def _cmd_schreier(args) -> int:
 
 
 def _cmd_cesaro(args) -> int:
-    source = args.subsequence
-    if Path(source).exists():
-        sub = Subsequence.from_terms(json.loads(Path(source).read_text()))
+    path = existing_file(args.subsequence)
+    if path:
+        sub = Subsequence.from_terms(json.loads(path.read_text()))
     else:
-        sub = Subsequence.parse(source)
+        sub = Subsequence.parse(args.subsequence)
     oracle = SequenceOracle(args.enumeration)
     cert = certify_not_cesaro_null(sub, args.N, oracle=oracle)
     payload = cert.to_json()
@@ -397,7 +398,7 @@ def main(argv: list[str] | None = None) -> int:
         args.ordinal = args.ordinal_flag
     try:
         return args.handler(args)
-    except WbsLabError as exc:
+    except (WbsLabError, json.JSONDecodeError) as exc:
         witness = getattr(exc, "witness", None)
         payload = {"error": type(exc).__name__, "message": str(exc)}
         if witness is not None and hasattr(witness, "to_json"):

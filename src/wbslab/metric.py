@@ -71,23 +71,33 @@ def validate_metric(
     """Check the metric axioms on a raw square matrix.
 
     Returns a report listing every violated axiom with the offending
-    points (capped at max_reported entries).  Non-square input or NaN
-    entries raise immediately: there is no sensible partial report.
-    The triangle inequality is checked with relative slack so that
-    float ingestion of Euclidean point clouds never trips it.
+    points (capped at max_reported entries).  Non-square input, NaN or
+    infinite entries and a negative triangle_rel raise immediately.
+
+    A triangle violation is d_ij - b > triangle_rel * max(b, 1) for some
+    b = d_ik + d_kj (the slack spares float Euclidean clouds).  One
+    min-plus pass builds best_ij = min over k not in {i, j} of d_ik + d_kj
+    and tests it once.  That is exact: the float d - b never increases as
+    b grows and rel * max(b, 1) never decreases, so some k violates iff
+    the minimum does.  Only failing pairs are then rescanned per k, to
+    report k-major, then row-major with i < j, up to the cap.
     """
     arr = np.asarray(dist, dtype=float)
+    rel = tolerances.triangle_rel
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise InvalidInputError(f"distance matrix must be square, got shape {arr.shape}")
-    if np.isnan(arr).any():
-        raise InvalidInputError("distance matrix contains NaN entries")
+    if not np.isfinite(arr).all():
+        kind = "NaN" if np.isnan(arr).any() else "infinite"
+        raise InvalidInputError(f"distance matrix contains {kind} entries")
+    if not rel >= 0:
+        raise InvalidInputError(f"triangle_rel must be >= 0, got {rel}")
     n = arr.shape[0]
     if labels is None:
         labels = default_labels(n)
     elif len(labels) != n:
         raise InvalidInputError(f"{len(labels)} labels for a {n}x{n} matrix")
 
-    report = ValidationReport()
+    report = ValidationReport(checked_triples=n * n * n)
 
     def add(kind: str, idx: tuple[int, ...], detail: str) -> None:
         if len(report.violations) < max_reported:
@@ -96,34 +106,33 @@ def validate_metric(
             )
 
     diag = np.abs(np.diagonal(arr))
-    for i in np.nonzero(diag > tolerances.triangle_rel)[0]:
+    for i in np.nonzero(diag > rel)[0]:
         add("diagonal", (int(i),), f"d(x,x) = {arr[i, i]!r} != 0")
 
-    asym = np.abs(arr - arr.T)
-    scale = np.maximum(np.abs(arr), 1.0)
-    bad = np.argwhere(asym > tolerances.triangle_rel * scale)
-    for i, j in bad:
-        if i < j:
-            add("symmetry", (int(i), int(j)), f"{arr[i, j]!r} vs {arr[j, i]!r}")
+    asym = np.abs(arr - arr.T) > rel * np.maximum(np.abs(arr), 1.0)
+    for i, j in zip(*np.nonzero(np.triu(asym, 1))):
+        add("symmetry", (int(i), int(j)), f"{arr[i, j]!r} vs {arr[j, i]!r}")
 
-    off = ~np.eye(n, dtype=bool)
-    for i, j in np.argwhere((arr <= 0) & off):
-        if i < j:
-            add("positivity", (int(i), int(j)), f"d = {arr[i, j]!r} <= 0 for distinct points")
+    for i, j in zip(*np.nonzero(np.triu(arr <= 0, 1))):
+        add("positivity", (int(i), int(j)), f"d = {arr[i, j]!r} <= 0 for distinct points")
 
-    # d(i,j) <= d(i,k) + d(k,j) with relative slack on the bound
+    best = np.full((n, n), np.inf)
+    via_k = np.empty((n, n))
     for k in range(n):
-        bound = arr[:, k][:, None] + arr[k, :][None, :]
-        excess = arr - bound
-        bad = np.argwhere(excess > tolerances.triangle_rel * np.maximum(bound, 1.0))
-        for i, j in bad:
-            if i != k and j != k and i < j:
-                add(
-                    "triangle",
-                    (int(i), int(k), int(j)),
-                    f"d = {arr[i, j]!r} > {arr[i, k]!r} + {arr[k, j]!r}",
-                )
-    report.checked_triples = n * n * n
+        np.add(arr[:, k, None], arr[k], out=via_k)
+        via_k[k] = via_k[:, k] = np.inf
+        np.minimum(best, via_k, out=best)
+    with np.errstate(invalid="ignore"):  # rel = 0 times inf where no k exists (n < 3)
+        rows, cols = np.nonzero(np.triu((arr - best) > rel * np.maximum(best, 1.0), 1))
+    for k in range(n):
+        room = max_reported - len(report.violations)
+        if room <= 0:
+            break
+        bound = arr[rows, k] + arr[k, cols]
+        hit = (arr[rows, cols] - bound > rel * np.maximum(bound, 1.0)) & (rows != k) & (cols != k)
+        for i, j in zip(rows[hit][:room], cols[hit][:room]):
+            detail = f"d = {arr[i, j]!r} > {arr[i, k]!r} + {arr[k, j]!r}"
+            add("triangle", (int(i), k, int(j)), detail)
     return report
 
 
@@ -247,10 +256,16 @@ def load_space(source) -> FiniteMetricSpace:
         return source
     if isinstance(source, dict):
         return FiniteMetricSpace.from_json(source)
-    path = Path(source)
-    if path.exists():
-        return FiniteMetricSpace.from_json(json.loads(path.read_text()))
-    return FiniteMetricSpace.from_json(json.loads(str(source)))
+    path = existing_file(source)
+    return FiniteMetricSpace.from_json(json.loads(path.read_text() if path else str(source)))
+
+
+def existing_file(source) -> Path | None:
+    """The path source names if that file exists, else None (inline text)."""
+    try:
+        return Path(source) if Path(source).exists() else None
+    except OSError:  # ENAMETOOLONG: inline JSON or a number list, not a path
+        return None
 
 
 @dataclass(frozen=True)
@@ -346,49 +361,34 @@ def find_pair_family(
 
     Candidates are all ordered pairs of distinct points, visited by
     distance ascending (small balls are the easiest to keep disjoint),
-    ties broken by the label order of the space.  A candidate is accepted
-    iff the separation conditions hold against everything accepted so
-    far; each point is used at most once, so a space of size s can never
-    yield more than floor(s/2) pairs.  The result always re-verifies
-    cleanly; on failure the best family found is attached to the raised
-    PairSearchFailure.
+    ties broken by the label order of the space (a stable argsort of the
+    row-major matrix).  The first live candidate is accepted, and every
+    candidate (x_c, y_c, r_c) that conflicts with the accepted (x, y, r)
+    is masked out: it shares a point, d(x_c, y) < r, d(x, y_c) < r_c, or
+    its ball meets B(y, r), i.e. y_c is closer than r_c to some point of
+    B(y, r).  So a candidate is accepted iff it passes against every pair
+    accepted before it.  Points are used at most once, so s points give
+    at most floor(s/2) pairs.  The result always re-verifies cleanly; on
+    failure the best family found is attached to the PairSearchFailure.
     """
     if not 0 < K <= 1:
         raise InvalidInputError(f"separation constant must be in (0, 1], got {K}")
     if target_count < 1:
         raise InvalidInputError(f"target_count must be >= 1, got {target_count}")
-    n = len(space)
-    candidates = sorted(
-        ((space.dist[i, j], i, j) for i in range(n) for j in range(n) if i != j),
-        key=lambda t: t,
-    )
-    accepted: list[tuple[int, int, float]] = []  # (x_idx, y_idx, radius)
-    used: set[int] = set()
-    for d, xi, yi in candidates:
-        if xi in used or yi in used:
-            continue
-        r = K * d
-        ok = True
-        for xj, yj, rj in accepted:
-            if space.dist[xi, yj] < rj or space.dist[xj, yi] < r:
-                ok = False
-                break
-        if ok and accepted:
-            # ball disjointness over the whole point set
-            new_ball = space.dist[yi] < r
-            for _, yj, rj in accepted:
-                if np.any(new_ball & (space.dist[yj] < rj)):
-                    ok = False
-                    break
-        if not ok:
-            continue
-        accepted.append((xi, yi, r))
-        used.update((xi, yi))
-        if len(accepted) >= target_count:
-            break
-    family = SeparatedPairFamily(
-        tuple((space.labels[xi], space.labels[yi]) for xi, yi, _ in accepted), K
-    )
+    dist = space.dist
+    xs, ys = np.divmod(np.argsort(dist, axis=None, kind="stable"), len(space))
+    distinct = xs != ys
+    xs, ys = xs[distinct], ys[distinct]
+    radii = K * dist[xs, ys]
+    accepted: list[tuple[int, int]] = []
+    while len(xs) and len(accepted) < target_count:
+        x, y, r = xs[0], ys[0], radii[0]
+        accepted.append((x, y))
+        reach = dist[:, dist[y] < r].min(axis=1, initial=np.inf)
+        shared = (xs == x) | (xs == y) | (ys == x) | (ys == y)
+        alive = ~(shared | (dist[xs, y] < r) | (dist[x, ys] < radii) | (reach[ys] < radii))
+        xs, ys, radii = xs[alive], ys[alive], radii[alive]
+    family = SeparatedPairFamily(tuple((space.labels[x], space.labels[y]) for x, y in accepted), K)
     if len(family) < target_count:
         raise PairSearchFailure(
             f"found only {len(family)} of {target_count} requested pairs",

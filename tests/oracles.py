@@ -13,6 +13,8 @@ import bisect
 from fractions import Fraction
 from itertools import combinations, groupby
 
+import numpy as np
+
 # ---- maximal Schreier sets by exhaustive generation -------------------------
 
 
@@ -52,6 +54,88 @@ def brute_force_pair_family_ok(space, family) -> bool:
                 if space.d(p, y_n) < radii[n] and space.d(p, y_m) < radii[m]:
                     return False
     return True
+
+
+# ---- reference metric checks: the per-k triangle loop and the tuple greedy ---
+#
+# These are the original implementations of validate_metric and
+# find_pair_family.  The production versions use a min-plus bound and a
+# conflict mask; they must reproduce these reports and families exactly.
+
+
+def reference_validate_metric(dist, labels=None, tolerances=None, max_reported=50):
+    """One n x n pass per intermediate point k, reported k-major."""
+    from wbslab.metric import MetricViolation, ValidationReport, default_labels
+    from wbslab.tolerances import DEFAULT_TOLERANCES
+
+    rel = (tolerances or DEFAULT_TOLERANCES).triangle_rel
+    arr = np.asarray(dist, dtype=float)
+    n = arr.shape[0]
+    labels = default_labels(n) if labels is None else labels
+    report = ValidationReport()
+
+    def add(kind, idx, detail):
+        if len(report.violations) < max_reported:
+            report.violations.append(
+                MetricViolation(kind, tuple(labels[i] for i in idx), detail)
+            )
+
+    diag = np.abs(np.diagonal(arr))
+    for i in np.nonzero(diag > rel)[0]:
+        add("diagonal", (int(i),), f"d(x,x) = {arr[i, i]!r} != 0")
+    asym = np.abs(arr - arr.T)
+    bad = np.argwhere(asym > rel * np.maximum(np.abs(arr), 1.0))
+    for i, j in bad:
+        if i < j:
+            add("symmetry", (int(i), int(j)), f"{arr[i, j]!r} vs {arr[j, i]!r}")
+    off = ~np.eye(n, dtype=bool)
+    for i, j in np.argwhere((arr <= 0) & off):
+        if i < j:
+            add("positivity", (int(i), int(j)), f"d = {arr[i, j]!r} <= 0 for distinct points")
+    for k in range(n):
+        bound = arr[:, k][:, None] + arr[k, :][None, :]
+        excess = arr - bound
+        bad = np.argwhere(excess > rel * np.maximum(bound, 1.0))
+        for i, j in bad:
+            if i != k and j != k and i < j:
+                add(
+                    "triangle",
+                    (int(i), int(k), int(j)),
+                    f"d = {arr[i, j]!r} > {arr[i, k]!r} + {arr[k, j]!r}",
+                )
+    report.checked_triples = n * n * n
+    return report
+
+
+def reference_find_pair_family(space, K, target_count):
+    """Sort all (d, i, j) tuples, then test each against every accepted pair."""
+    from wbslab.errors import PairSearchFailure
+    from wbslab.metric import SeparatedPairFamily
+
+    n = len(space)
+    dist = space.dist
+    candidates = sorted((dist[i, j], i, j) for i in range(n) for j in range(n) if i != j)
+    accepted = []  # (x_idx, y_idx, radius)
+    used = set()
+    for d, xi, yi in candidates:
+        if xi in used or yi in used:
+            continue
+        r = K * d
+        if any(dist[xi, yj] < rj or dist[xj, yi] < r for xj, yj, rj in accepted):
+            continue
+        new_ball = dist[yi] < r
+        if any(np.any(new_ball & (dist[yj] < rj)) for _, yj, rj in accepted):
+            continue
+        accepted.append((xi, yi, r))
+        used.update((xi, yi))
+        if len(accepted) >= target_count:
+            break
+    family = SeparatedPairFamily(
+        tuple((space.labels[xi], space.labels[yi]) for xi, yi, _ in accepted), K
+    )
+    if len(family) < target_count:
+        raise PairSearchFailure("reference search fell short", best=family, target=target_count)
+    return family
 
 
 # ---- ordinal intervals as rational point sets --------------------------------

@@ -78,6 +78,12 @@ class TestCesaroCommand:
         num, den = payload["mean"].split("/")
         assert int(num) * 2 >= int(den)
 
+    def test_long_inline_terms(self, capsys):
+        terms = ",".join(str(i) for i in range(1, 120))
+        assert len(terms) > 255
+        code, payload = run_cli(capsys, "cesaro", "certify", "--subsequence", terms, "--N", "4")
+        assert code == 0 and payload["prefix_len"] <= 119
+
     def test_short_prefix_fails_cleanly(self, capsys):
         code = main(["cesaro", "certify", "--subsequence", "1,2,3", "--N", "4"])
         assert code == 2
@@ -124,6 +130,30 @@ class TestMetricAndPairs:
         assert code == 1
         assert payload["found"] == 4
         assert not payload["ok"]
+
+    def test_validate_infinite_matrix_is_json_error(self, capsys, tmp_path):
+        path = tmp_path / "inf.json"
+        path.write_text(json.dumps({"matrix": [[0, float("inf")], [float("inf"), 0]]}))
+        assert main(["metric", "validate", str(path)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "InvalidInputError" and "infinite" in err["message"]
+
+    def test_find_accepts_long_inline_json(self, capsys, tmp_path):
+        # past the 255-byte file-name limit the path probe raised OSError
+        text = json.dumps({"points": [[float(i), float(i * i % 7)] for i in range(40)]})
+        assert len(text) == 522
+        path = tmp_path / "space.json"
+        path.write_text(text)
+        args = ["--K", "0.5", "--count", "2"]
+        code, inline = run_cli(capsys, "pairs", "find", text, *args)
+        assert code == 0 and inline["ok"]
+        assert run_cli(capsys, "pairs", "find", str(path), *args) == (0, inline)
+
+    def test_malformed_long_json_is_json_error(self, capsys):
+        text = json.dumps({"points": [[float(i), 0.0] for i in range(60)]})[:-3]
+        assert len(text) > 255
+        assert main(["pairs", "find", text, "--K", "0.5"]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "JSONDecodeError"
 
 
 class TestHolderAndEmbed:
@@ -173,6 +203,14 @@ class TestHolderAndEmbed:
         assert code == 0
         assert payload["isometric"]
         assert payload["image_sup"] == 2.0
+
+    def test_embed_linf_long_inline_vector(self, capsys):
+        vector = ",".join(["0.125"] * 100)
+        assert len(vector) > 255
+        code, payload = run_cli(
+            capsys, "embed", "linf", "--masses", ",".join(["1"] * 100), "--vector", vector
+        )
+        assert code == 0 and payload["isometric"]
 
     def test_embed_linf(self, capsys):
         code, payload = run_cli(

@@ -14,9 +14,14 @@ from wbslab.metric import (
     validate_metric,
     verify_pair_family,
 )
-from wbslab.samples import harmonic_with_zero, line_grid
+from wbslab.samples import cycle_graph, harmonic_with_zero, line_grid
+from wbslab.tolerances import DEFAULT_TOLERANCES
 
-from oracles import brute_force_pair_family_ok
+from oracles import (
+    brute_force_pair_family_ok,
+    reference_find_pair_family,
+    reference_validate_metric,
+)
 
 
 class TestValidation:
@@ -46,6 +51,20 @@ class TestValidation:
     def test_nan_rejected(self):
         with pytest.raises(InvalidInputError):
             validate_metric([[0, float("nan")], [float("nan"), 0]])
+
+    def test_inf_rejected(self):
+        # inf - inf under the min-plus bound is NaN, which no test can flag
+        inf = float("inf")
+        for dist in ([[0, inf], [inf, 0]], [[0, 1, inf], [1, 0, 1], [1, 1, 0]]):
+            with pytest.raises(InvalidInputError, match="infinite"):
+                validate_metric(dist)
+            with pytest.raises(InvalidInputError, match="infinite"):
+                FiniteMetricSpace(dist)
+
+    def test_negative_triangle_slack_rejected(self):
+        tolerances = DEFAULT_TOLERANCES.with_overrides(triangle_rel=-1e-9)
+        with pytest.raises(InvalidInputError):
+            validate_metric([[0, 1], [1, 0]], tolerances=tolerances)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -213,3 +232,162 @@ class TestFindPairFamily:
             find_pair_family(space, 1.5, 1)
         with pytest.raises(InvalidInputError):
             find_pair_family(space, 0.5, 0)
+
+
+# ---- differential tests against the original loop implementations -------------
+
+CAPS = (1, 3, 50, 10**9)
+EPS = (0.0, 1e-10, -1e-10, 5e-10, -5e-10, 1e-9, -1e-9, 2e-9, -2e-9, 1e-8, -1e-8)
+
+
+def same_report(dist, max_reported, tolerances=DEFAULT_TOLERANCES):
+    got = validate_metric(dist, max_reported=max_reported, tolerances=tolerances)
+    want = reference_validate_metric(dist, max_reported=max_reported, tolerances=tolerances)
+    assert got.to_json() == want.to_json()
+    return got
+
+
+def search_outcome(finder, space, K, count):
+    try:
+        return True, finder(space, K, count).to_json()
+    except PairSearchFailure as exc:
+        return False, exc.best.to_json(), exc.target
+
+
+class TestValidateMatchesReference:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(st.integers(0, 12), min_size=1, max_size=11),
+        st.sampled_from((1e-3, 0.05, 0.4, 1.0, 7.0, 1e3)),
+        st.data(),
+    )
+    def test_near_boundary_collinear(self, coords, scale, data):
+        # collinear points make many triangles tight; perturbations of
+        # 1e-10..1e-8 land on both sides of the 1e-9 slack, and at
+        # sub-unit scales max(bound, 1) = 1 is the binding term
+        pts = np.array(coords, dtype=float) * scale
+        dist = np.abs(pts[:, None] - pts[None, :])
+        n = len(pts)
+        eps = np.array(data.draw(st.lists(st.sampled_from(EPS), min_size=n * n, max_size=n * n)))
+        if data.draw(st.booleans(), label="absolute"):
+            dist += eps.reshape(n, n)
+        else:
+            dist *= 1.0 + eps.reshape(n, n)
+        if data.draw(st.booleans(), label="symmetric"):
+            dist = np.triu(dist) + np.triu(dist, 1).T
+        rel = data.draw(st.sampled_from((1e-9, 0.0, 1e-6)), label="triangle_rel")
+        same_report(
+            dist,
+            data.draw(st.sampled_from(CAPS), label="cap"),
+            DEFAULT_TOLERANCES.with_overrides(triangle_rel=rel),
+        )
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(2, 9),
+        st.integers(0, 10**6),
+        st.lists(
+            st.tuples(
+                st.integers(0, 8),
+                st.integers(0, 8),
+                st.sampled_from((0.0, -1.0, -1e-12, 1e-10, 2e-9, 0.5, 3.0, 40.0)),
+            ),
+            max_size=6,
+        ),
+        st.sampled_from(CAPS),
+    )
+    def test_broken_axioms(self, n, seed, edits, cap):
+        # single-entry edits break the diagonal, symmetry and positivity
+        # and often create triangle violations too
+        rng = np.random.default_rng(seed)
+        pts = rng.integers(0, 6, size=(n, 2)).astype(float)
+        dist = np.abs(pts[:, None, :] - pts[None, :, :]).sum(axis=2)
+        for i, j, value in edits:
+            dist[i % n, j % n] = value
+        same_report(dist, cap)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(4, 24), st.integers(0, 10**6), st.integers(1, 6), st.sampled_from(CAPS))
+    def test_planted_long_pairs(self, n, seed, plants, cap):
+        rng = np.random.default_rng(seed)
+        pts = rng.uniform(0.0, 10.0, size=(n, 2))
+        dist = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2))
+        for _ in range(plants):
+            i, j = rng.choice(n, size=2, replace=False)
+            dist[i, j] = dist[j, i] = 3.0 * dist.max()
+        report = same_report(dist, cap)
+        assert 0 < len(report.violations) <= cap
+
+    def test_planted_report_is_capped_at_fifty(self):
+        rng = np.random.default_rng(3)
+        pts = rng.uniform(0.0, 10.0, size=(60, 2))
+        dist = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2))
+        dist[4, 9] = dist[9, 4] = 100.0
+        report = same_report(dist, 50)
+        assert len(report.violations) == 50
+        assert report.checked_triples == 60**3
+
+
+def l1_lattice(a: int, b: int, seed: int) -> FiniteMetricSpace:
+    """Integer points of an a x b box under l1, in a shuffled label order."""
+    pts = np.array([(i, j) for i in range(a) for j in range(b)], dtype=float)
+    return FiniteMetricSpace.from_points(np.random.default_rng(seed).permutation(pts), metric="l1")
+
+
+TIE_HEAVY = {
+    "line": lambda n: line_grid(n),
+    "cycle": lambda n: cycle_graph(n),
+    "lattice": lambda n: l1_lattice(2 + n % 3, 2 + n // 3, n),
+}
+
+
+class TestFindMatchesReference:
+    @pytest.mark.parametrize("kind", sorted(TIE_HEAVY))
+    @pytest.mark.parametrize("K", (0.1, 0.25, 0.5, 1.0))
+    def test_tie_heavy_spaces_all_counts(self, kind, K):
+        outcomes = set()
+        for n in (3, 6, 11):
+            space = TIE_HEAVY[kind](n)
+            for count in range(1, len(space) // 2 + 2):
+                got = search_outcome(find_pair_family, space, K, count)
+                assert got == search_outcome(reference_find_pair_family, space, K, count)
+                outcomes.add(got[0])
+        assert outcomes == {True, False}
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        st.sampled_from(sorted(TIE_HEAVY) + ["euclidean", "linf"]),
+        st.integers(2, 22),
+        st.sampled_from((0.1, 0.25, 0.5, 1.0)),
+        st.integers(1, 12),
+        st.integers(0, 10**6),
+    )
+    def test_random_spaces(self, kind, n, K, count, seed):
+        if kind in TIE_HEAVY:
+            space = TIE_HEAVY[kind](n)
+        else:
+            rng = np.random.default_rng(seed)
+            space = FiniteMetricSpace.from_points(rng.uniform(0, 10, size=(n, 2)), metric=kind)
+        got = search_outcome(find_pair_family, space, K, count)
+        assert got == search_outcome(reference_find_pair_family, space, K, count)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(3, 11),
+        st.integers(0, 10**6),
+        st.booleans(),
+        st.sampled_from((0.1, 0.25, 0.5, 1.0)),
+        st.integers(1, 6),
+    )
+    def test_unvalidated_integer_matrices(self, n, seed, symmetric, K, count):
+        # small integer entries tie often, and without the metric axioms
+        # (some points even lie outside their own balls) each condition
+        # and each orientation of the matrix can decide
+        rng = np.random.default_rng(seed)
+        dist = rng.integers(1, 5, size=(n, n)).astype(float)
+        if symmetric:
+            dist = np.triu(dist, 1) + np.triu(dist, 1).T
+        np.fill_diagonal(dist, rng.choice((0.0, 9.0), size=n, p=(0.7, 0.3)))
+        space = FiniteMetricSpace(dist, validate=False)
+        got = search_outcome(find_pair_family, space, K, count)
+        assert got == search_outcome(reference_find_pair_family, space, K, count)
