@@ -26,9 +26,9 @@ from .classify import (
 from .embed import (
     EmbeddingReport,
     FiniteSequence,
+    HolderEmbedding,
     SandwichCheck,
     StepFunction,
-    SupportIndexMap,
     build_support_map,
     distortion_report,
     embed_cb,
@@ -83,7 +83,6 @@ from .weaknull import (
     WeakWitness,
     certify_not_cesaro_null,
     find_weak_witness,
-    sup_cesaro_norm_lower_bound,
 )
 
 __version__ = "0.1.0"

@@ -41,6 +41,7 @@ from .metric import (
     SeparatedPairFamily,
     existing_file,
     find_pair_family,
+    load_json,
     load_space,
     validate_metric,
     verify_pair_family,
@@ -148,8 +149,8 @@ def _cmd_cesaro(args) -> int:
 
 
 def _cmd_metric_validate(args) -> int:
-    data = json.loads(Path(args.space).read_text())
-    if "matrix" in data:
+    data = load_json(args.space)
+    if isinstance(data, dict) and "matrix" in data:
         report = validate_metric(data["matrix"], data.get("labels"), tolerances=_tolerances(args))
     else:
         space = FiniteMetricSpace.from_json(data)
@@ -172,7 +173,7 @@ def _cmd_pairs(args) -> int:
         payload.update({"ok": True, "found": len(family), "target": args.count})
         _emit(args, payload)
         return 0
-    family = SeparatedPairFamily.from_json(json.loads(Path(args.family).read_text()))
+    family = SeparatedPairFamily.from_json(load_json(args.family))
     report = verify_pair_family(space, family)
     _emit(args, report.to_json())
     return 0 if report.ok else 1
@@ -183,7 +184,7 @@ def _cmd_holder(args) -> int:
     if args.action == "seminorm":
         from .holder import ScalarField
 
-        values = json.loads(Path(args.field).read_text())
+        values = load_json(args.field)
         if isinstance(values, dict):
             values = values["values"]
         f = ScalarField(space, values)
@@ -214,7 +215,7 @@ def _cmd_embed(args) -> int:
         args.out = args.report
     if args.target == "holder":
         space = load_space(args.space)
-        family = SeparatedPairFamily.from_json(json.loads(Path(args.family).read_text()))
+        family = SeparatedPairFamily.from_json(load_json(args.family))
         vectors = structured_vectors(len(family))
         vectors += _parse_vector(args.vector, len(family), args.seed)
         report = distortion_report(space, family, args.alpha, vectors, tolerances=tolerances)
@@ -251,20 +252,23 @@ def _cmd_embed(args) -> int:
 
 
 def _cmd_classify(args) -> int:
+    ordinal = args.ordinal if args.ordinal is not None else args.ordinal_flag
     if args.family == "calpha":
         size = math.inf if args.assume == "infinite" else args.points
         if size is None:
             raise WbsLabError("classify calpha needs --points N or --assume infinite")
         verdict = classify_calpha(size)
     elif args.family == "ordinal":
-        verdict = classify_c_of_ordinal(parse_ordinal(args.ordinal))
+        if ordinal is None:
+            raise WbsLabError("classify ordinal needs an ordinal expression")
+        verdict = classify_c_of_ordinal(parse_ordinal(ordinal))
     elif args.family == "cb":
         if args.assume == "noncompact":
             verdict = classify_cb(assume="noncompact")
         else:
-            if args.ordinal is None:
+            if ordinal is None:
                 raise WbsLabError("classify cb needs --ordinal EXPR or --assume noncompact")
-            verdict = classify_cb(ordinal=parse_ordinal(args.ordinal))
+            verdict = classify_cb(ordinal=parse_ordinal(ordinal))
     else:
         masses = [float(m) for m in args.masses.split(",")]
         partition = FiniteMeasurePartition(tuple(masses), is_terminal=not args.more_sets)
@@ -394,8 +398,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "ordinal", None) is None and getattr(args, "ordinal_flag", None):
-        args.ordinal = args.ordinal_flag
     try:
         return args.handler(args)
     except (WbsLabError, json.JSONDecodeError) as exc:

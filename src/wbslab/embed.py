@@ -33,7 +33,7 @@ from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
 __all__ = [
     "FiniteSequence",
-    "SupportIndexMap",
+    "HolderEmbedding",
     "SandwichCheck",
     "EmbeddingReport",
     "StepFunction",
@@ -81,72 +81,63 @@ class FiniteSequence:
 
 
 @dataclass(frozen=True)
-class SupportIndexMap:
-    """For each point, the unique pair index whose ball contains it.
+class HolderEmbedding:
+    """The operator a -> sum_n a_n * phi_n over a verified pair family.
 
-    ``assignment[p]`` is the 0-based pair index, or None when the point
-    lies outside every ball.  Ball disjointness makes the index unique;
-    a detected overlap raises instead of silently picking one.
+    ``assignment[p]`` is the 0-based index of the pair whose open ball
+    contains point p, or None when p lies outside every ball; the balls
+    are disjoint, so the index is unique.  ``profile[p]`` is the value
+    at p of that pair's bump, 0.0 off every ball.  Built once by
+    ``build_support_map`` and applied to many vectors by ``embed_holder``.
     """
 
+    space: FiniteMetricSpace
+    family: SeparatedPairFamily
+    alpha: float
     assignment: tuple[int | None, ...]
-
-    def to_json(self) -> list:
-        return [a if a is not None else None for a in self.assignment]
+    profile: np.ndarray
 
 
 def build_support_map(
     space: FiniteMetricSpace,
     family: SeparatedPairFamily,
     alpha: float,
-) -> SupportIndexMap:
-    """Assign each point of the space to the bump supporting it, if any.
+) -> HolderEmbedding:
+    """Verify the family and build every pair bump, once.
 
     The support of the n-th pair bump is exactly the open ball around
-    y_n, independent of alpha; alpha is validated here because the map
-    only makes sense for the bumps it indexes.
+    y_n, so each point takes its profile value from the one bump whose
+    ball holds it.
     """
-    validate_alpha(alpha)
+    alpha = validate_alpha(alpha)
     report = verify_pair_family(space, family)
     if not report.ok:
         raise InconsistentFamilyError(
             f"family fails separation: {report.violations[:3]}"
         )
+    members = space.balls([y for _, y in family.pairs], family.radii(space))
     assignment: list[int | None] = [None] * len(space)
-    radii = family.radii(space)
-    for n, ((_, y_n), r) in enumerate(zip(family.pairs, radii)):
-        for p in np.nonzero(space.ball_members(y_n, r))[0]:
-            if assignment[p] is not None:
-                raise InconsistentFamilyError(
-                    f"point {space.labels[int(p)]!r} lies in balls "
-                    f"{assignment[p]} and {n}"
-                )
+    profile = np.zeros(len(space))
+    for n, (pair, mask) in enumerate(zip(family.pairs, members)):
+        profile[mask] = pair_bump(space, pair, family.K, alpha).values[mask]
+        for p in np.nonzero(mask)[0]:
             assignment[p] = n
-    return SupportIndexMap(tuple(assignment))
+    profile.setflags(write=False)
+    return HolderEmbedding(space, family, alpha, tuple(assignment), profile)
 
 
-def embed_holder(
-    a: FiniteSequence,
-    space: FiniteMetricSpace,
-    family: SeparatedPairFamily,
-    alpha: float,
-) -> ScalarField:
+def embed_holder(a: FiniteSequence, embedding: HolderEmbedding) -> ScalarField:
     """Image of the coefficient vector: a(n(x)) times the n(x)-th bump.
 
     Points carried by no ball get value 0; since every bump vanishes off
     its own ball, this agrees pointwise with any fallback-index reading.
     """
-    if len(a) != len(family):
+    if len(a) != len(embedding.family):
         raise InvalidInputError(
-            f"vector length {len(a)} != family size {len(family)}"
+            f"vector length {len(a)} != family size {len(embedding.family)}"
         )
-    support = build_support_map(space, family, alpha)
-    values = np.zeros(len(space))
-    bumps = [pair_bump(space, pair, family.K, alpha) for pair in family.pairs]
-    for p, n in enumerate(support.assignment):
-        if n is not None:
-            values[p] = a.entries[n] * bumps[n].values[p]
-    return ScalarField(space, values)
+    coeffs = [0.0 if n is None else a.entries[n] for n in embedding.assignment]
+    return ScalarField(embedding.space, np.multiply(coeffs, embedding.profile))
 
 
 @dataclass(frozen=True)
@@ -173,9 +164,7 @@ class SandwichCheck:
 
 def verify_sandwich(
     a: FiniteSequence,
-    space: FiniteMetricSpace,
-    family: SeparatedPairFamily,
-    alpha: float,
+    embedding: HolderEmbedding,
     tolerances: Tolerances = DEFAULT_TOLERANCES,
     raise_on_violation: bool = True,
 ) -> SandwichCheck:
@@ -186,11 +175,10 @@ def verify_sandwich(
     (or is returned in the check when raise_on_violation is False, so
     suites can collect rather than abort).
     """
-    alpha = validate_alpha(alpha)
-    image = embed_holder(a, space, family, alpha)
-    norm = holder_norm(image, alpha)
+    alpha = embedding.alpha
+    norm = holder_norm(embed_holder(a, embedding), alpha)
     sup_a = a.sup_value
-    bound_upper = 2.0 / family.K**alpha + 1.0
+    bound_upper = 2.0 / embedding.family.K**alpha + 1.0
     slack = tolerances.sandwich_rel
     lower_ok = sup_a <= norm * (1.0 + slack) + slack * max(1.0, sup_a)
     upper_ok = norm <= bound_upper * sup_a * (1.0 + slack) + slack
@@ -247,14 +235,11 @@ def distortion_report(
     tolerances: Tolerances = DEFAULT_TOLERANCES,
 ) -> EmbeddingReport:
     """Measure the embedding's distortion over the given nonzero vectors."""
-    ratios: list[tuple[float, FiniteSequence]] = []
-    for a in vectors:
-        if a.sup_value == 0:
-            continue
-        check = verify_sandwich(a, space, family, alpha, tolerances=tolerances)
-        ratios.append((check.ratio, a))
-    if not ratios:
+    nonzero = [a for a in vectors if a.sup_value != 0]
+    if not nonzero:
         raise InvalidInputError("no nonzero vectors supplied")
+    embedding = build_support_map(space, family, alpha)
+    ratios = [(verify_sandwich(a, embedding, tolerances=tolerances).ratio, a) for a in nonzero]
     lower = min(r for r, _ in ratios)
     upper, worst = max(ratios, key=lambda t: t[0])
     return EmbeddingReport(
@@ -287,14 +272,12 @@ def embed_cb(
     radii = [float(r) for r in radii]
     if any(r <= 0 for r in radii):
         raise InvalidInputError("all radii must be positive")
-    members = [space.ball_members(c, r) for c, r in zip(centers, radii)]
-    if members:
-        counts = np.sum(members, axis=0)
-        clash = np.nonzero(counts > 1)[0]
-        if clash.size:
-            raise InvalidInputError(
-                f"balls overlap at point {space.labels[int(clash[0])]!r}"
-            )
+    members = space.balls(centers, radii)
+    clash = np.nonzero(members.sum(axis=0) > 1)[0]
+    if clash.size:
+        raise InvalidInputError(
+            f"balls overlap at point {space.labels[int(clash[0])]!r}"
+        )
     values = np.zeros(len(space))
     for coeff, center, r, mask in zip(a.entries, centers, radii, members):
         tent = tent_bump(space, center, r)

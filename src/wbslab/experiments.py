@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .embed import FiniteSequence, structured_vectors, verify_sandwich
+from .embed import FiniteSequence, build_support_map, structured_vectors, verify_sandwich
 from .errors import PairSearchFailure, WbsLabError
 from .holder import holder_seminorm, pair_bump, sup_norm
 from .metric import find_pair_family
@@ -138,14 +138,14 @@ def _sandwich_suite(config: ExperimentConfig) -> ExperimentResult:
             FiniteSequence(tuple(rng.uniform(-2.0, 2.0, size=len(family))))
             for _ in range(20)
         ]
+        embedding = build_support_map(space, family, alpha)
         ratio_lo, ratio_hi = np.inf, 0.0
         sandwich_ok = True
         for vec in vectors:
             if vec.sup_value == 0:
                 continue
             check = verify_sandwich(
-                vec, space, family, alpha,
-                tolerances=config.tolerances, raise_on_violation=False,
+                vec, embedding, tolerances=config.tolerances, raise_on_violation=False
             )
             ratio_lo = min(ratio_lo, check.ratio)
             ratio_hi = max(ratio_hi, check.ratio)

@@ -31,6 +31,7 @@ __all__ = [
     "PairFamilyReport",
     "verify_pair_family",
     "find_pair_family",
+    "load_json",
     "load_space",
 ]
 
@@ -82,7 +83,7 @@ def validate_metric(
     the minimum does.  Only failing pairs are then rescanned per k, to
     report k-major, then row-major with i < j, up to the cap.
     """
-    arr = np.asarray(dist, dtype=float)
+    arr = _float_array(dist)
     rel = tolerances.triangle_rel
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise InvalidInputError(f"distance matrix must be square, got shape {arr.shape}")
@@ -136,6 +137,13 @@ def validate_metric(
     return report
 
 
+def _float_array(data) -> np.ndarray:
+    try:
+        return np.asarray(data, dtype=float)
+    except (TypeError, ValueError) as exc:  # non-numeric or ragged JSON
+        raise InvalidInputError(f"expected an array of numbers: {exc}") from None
+
+
 def default_labels(n: int) -> tuple[str, ...]:
     width = len(str(max(n - 1, 0)))
     return tuple(f"p{str(i).zfill(width)}" for i in range(n))
@@ -151,7 +159,7 @@ class FiniteMetricSpace:
         validate: bool = True,
         tolerances: Tolerances = DEFAULT_TOLERANCES,
     ):
-        arr = np.array(dist, dtype=float)
+        arr = _float_array(dist).copy()
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise InvalidInputError(f"distance matrix must be square, got shape {arr.shape}")
         if labels is None:
@@ -186,9 +194,10 @@ class FiniteMetricSpace:
     def d(self, a: str, b: str) -> float:
         return float(self.dist[self.index(a), self.index(b)])
 
-    def ball_members(self, center: str, radius: float) -> np.ndarray:
-        """Boolean mask of points strictly inside the open ball."""
-        return self.dist[self.index(center)] < radius
+    def balls(self, centers: Sequence[str], radii: Sequence[float]) -> np.ndarray:
+        """m x n mask: row i marks the points strictly inside B(centers[i], radii[i])."""
+        rows = self.dist[[self.index(c) for c in centers]]
+        return rows < np.asarray(radii, dtype=float).reshape(-1, 1)
 
     def restrict(self, subset: Sequence[str]) -> "FiniteMetricSpace":
         """The induced submatrix on the given labels, in the given order."""
@@ -207,7 +216,7 @@ class FiniteMetricSpace:
         metric: str = "euclidean",
         labels: Sequence[str] | None = None,
     ) -> "FiniteMetricSpace":
-        pts = np.asarray(points, dtype=float)
+        pts = _float_array(points)
         if pts.ndim == 1:
             pts = pts[:, None]
         diff = pts[:, None, :] - pts[None, :, :]
@@ -231,14 +240,18 @@ class FiniteMetricSpace:
         for u, v, w in edges:
             dist[u, v] = min(dist[u, v], float(w))
             dist[v, u] = dist[u, v]
+        via_k = np.empty_like(dist)
         for k in range(n):
-            dist = np.minimum(dist, dist[:, [k]] + dist[[k], :])
+            np.add(dist[:, k, None], dist[k], out=via_k)
+            np.minimum(dist, via_k, out=dist)
         if np.isinf(dist).any():
             raise InvalidInputError("graph is not connected")
         return cls(dist, labels)
 
     @classmethod
     def from_json(cls, data: dict) -> "FiniteMetricSpace":
+        if not isinstance(data, dict):
+            raise InvalidInputError(f"space JSON must be an object, got {type(data).__name__}")
         labels = data.get("labels")
         if "matrix" in data:
             return cls(data["matrix"], labels)
@@ -256,8 +269,13 @@ def load_space(source) -> FiniteMetricSpace:
         return source
     if isinstance(source, dict):
         return FiniteMetricSpace.from_json(source)
+    return FiniteMetricSpace.from_json(load_json(source))
+
+
+def load_json(source):
+    """Parse the file source names if it exists, else source as JSON text."""
     path = existing_file(source)
-    return FiniteMetricSpace.from_json(json.loads(path.read_text() if path else str(source)))
+    return json.loads(path.read_text() if path else str(source))
 
 
 def existing_file(source) -> Path | None:
@@ -293,7 +311,11 @@ class SeparatedPairFamily:
 
     @classmethod
     def from_json(cls, data: dict) -> "SeparatedPairFamily":
-        return cls(tuple((p[0], p[1]) for p in data["pairs"]), float(data["K"]))
+        try:
+            pairs, K = tuple((p[0], p[1]) for p in data["pairs"]), float(data["K"])
+        except (KeyError, IndexError, TypeError, ValueError):
+            raise InvalidInputError('family JSON needs "K" and "pairs": [[x, y], ...]') from None
+        return cls(pairs, K)
 
 
 @dataclass
@@ -336,21 +358,18 @@ def verify_pair_family(
                     }
                 )
 
-    if pairs:
-        membership = np.stack(
-            [space.ball_members(y, r) for (_, y), r in zip(pairs, radii)]
+    membership = space.balls([y for _, y in pairs], radii)
+    counts = membership.sum(axis=0)
+    for p in np.nonzero(counts > 1)[0]:
+        inside = np.nonzero(membership[:, p])[0]
+        violations.append(
+            {
+                "condition": "disjoint",
+                "point": space.labels[int(p)],
+                "balls": [int(i) for i in inside],
+                "detail": f"point lies in {int(counts[p])} balls",
+            }
         )
-        counts = membership.sum(axis=0)
-        for p in np.nonzero(counts > 1)[0]:
-            inside = np.nonzero(membership[:, p])[0]
-            violations.append(
-                {
-                    "condition": "disjoint",
-                    "point": space.labels[int(p)],
-                    "balls": [int(i) for i in inside],
-                    "detail": f"point lies in {int(counts[p])} balls",
-                }
-            )
     return PairFamilyReport(ok=not violations, violations=violations)
 
 

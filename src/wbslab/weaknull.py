@@ -23,7 +23,7 @@ than papered over:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -41,7 +41,6 @@ __all__ = [
     "WeakConvergenceChallenge",
     "WeakWitness",
     "certify_not_cesaro_null",
-    "sup_cesaro_norm_lower_bound",
     "find_weak_witness",
 ]
 
@@ -296,20 +295,6 @@ def certify_not_cesaro_null(
         prefix_len=need,
         enumeration=oracle.enumeration.name,
     )
-
-
-def sup_cesaro_norm_lower_bound(
-    sub: Subsequence,
-    N: int,
-    oracle: SequenceOracle | None = None,
-    max_terms: int = DEFAULT_MAX_TERMS,
-) -> Fraction:
-    """Certified lower bound on the sup norm of the 2N-term Cesaro mean.
-
-    Returns the certificate's exact mean: the mean vector attains at
-    least this value at the witness coordinate, hence the sup norm does.
-    """
-    return certify_not_cesaro_null(sub, N, oracle=oracle, max_terms=max_terms).mean
 
 
 @dataclass(frozen=True)

@@ -138,6 +138,28 @@ def reference_find_pair_family(space, K, target_count):
     return family
 
 
+# ---- reference Holder embedding: the per-vector bump loop ------------------
+#
+# The original embed_holder: a fresh pair bump per pair on every call, the
+# owning ball of each point found by a direct scan, then one product per
+# point.  The production operator builds the bumps once; its images must
+# match these bit for bit.
+
+
+def reference_embed_holder(a, space, family, alpha):
+    """Values of sum_n a_n * phi_n on every point of the space."""
+    from wbslab.holder import pair_bump
+
+    bumps = [pair_bump(space, pair, family.K, alpha) for pair in family.pairs]
+    radii = family.radii(space)
+    values = np.zeros(len(space))
+    for p, label in enumerate(space.labels):
+        for n, (_, y) in enumerate(family.pairs):
+            if space.d(y, label) < radii[n]:
+                values[p] = a[n] * bumps[n].values[p]
+    return values
+
+
 # ---- ordinal intervals as rational point sets --------------------------------
 #
 # Ordinals below omega^3 are triples (c2, c1, c0) in lex order.  The

@@ -15,7 +15,6 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 import numpy as np
-import pytest
 
 from wbslab.classify import (
     FiniteMeasurePartition,
@@ -29,6 +28,7 @@ from wbslab.classify import (
 )
 from wbslab.embed import (
     FiniteSequence,
+    build_support_map,
     embed_cb,
     embed_linf,
     structured_vectors,
@@ -153,6 +153,7 @@ def test_criterion_4_sandwich():
         lower_failures = []
         upper_failures = []
         for name, space, family, alpha in instances:
+            embedding = build_support_map(space, family, alpha)
             vectors = structured_vectors(len(family)) + [
                 FiniteSequence(tuple(rng.uniform(-2.0, 2.0, size=len(family))))
                 for _ in range(20)
@@ -160,9 +161,7 @@ def test_criterion_4_sandwich():
             for vec in vectors:
                 if vec.sup_value == 0:
                     continue
-                check = verify_sandwich(
-                    vec, space, family, alpha, raise_on_violation=False
-                )
+                check = verify_sandwich(vec, embedding, raise_on_violation=False)
                 if not check.lower_ok:
                     lower_failures.append((name, vec.to_json(), check.to_json()))
                 if not check.upper_ok:

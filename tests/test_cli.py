@@ -155,6 +155,36 @@ class TestMetricAndPairs:
         assert main(["pairs", "find", text, "--K", "0.5"]) == 2
         assert json.loads(capsys.readouterr().err)["error"] == "JSONDecodeError"
 
+    def test_validate_accepts_inline_json(self, capsys, space_file):
+        inline = run_cli(capsys, "metric", "validate", space_file.read_text())
+        assert inline == run_cli(capsys, "metric", "validate", str(space_file))
+        assert inline[0] == 0 and inline[1]["ok"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["metric", "validate", "{missing}"],
+        ["metric", "validate", '{"matrix": [[0, "a"], ["a", 0]]}'],
+        ["pairs", "verify", "{space}", "{missing}"],
+        ["pairs", "verify", "{space}", "[1]"],
+        ["pairs", "verify", "{space}", '{"pairs": [["p0", "p1"]]}'],
+        ["pairs", "verify", "{space}", '{"K": 0.5}'],
+        ["pairs", "find", "[1, 2]"],
+        ["pairs", "find", '{"matrix": "x"}'],
+        ["pairs", "find", '{"points": ["x", "y"]}'],
+        ["holder", "seminorm", "{space}", "{missing}"],
+        ["embed", "holder", "{space}", "{missing}"],
+        ["classify", "ordinal"],
+    ],
+)
+def test_malformed_arguments_are_json_errors(capsys, space_file, tmp_path, argv):
+    names = {"{space}": str(space_file), "{missing}": str(tmp_path / "nosuch.json")}
+    assert main([names.get(arg, arg) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "error" in json.loads(err)
+
 
 class TestHolderAndEmbed:
     def test_seminorm(self, capsys, space_file, tmp_path):

@@ -1,8 +1,13 @@
 """Support maps, the three embeddings, and their certified norm bounds."""
 
+from unittest.mock import Mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import wbslab.embed
 from wbslab.embed import (
     FiniteSequence,
     build_support_map,
@@ -17,10 +22,13 @@ from wbslab.errors import (
     CertificateViolationError,
     InconsistentFamilyError,
     InvalidInputError,
+    PairSearchFailure,
 )
-from wbslab.holder import holder_norm, pair_bump, sup_norm
-from wbslab.metric import SeparatedPairFamily, find_pair_family
+from wbslab.holder import pair_bump, sup_norm
+from wbslab.metric import FiniteMetricSpace, SeparatedPairFamily, find_pair_family
 from wbslab.samples import harmonic_with_zero, line_grid
+
+from oracles import reference_embed_holder
 
 
 @pytest.fixture(scope="module")
@@ -62,13 +70,15 @@ class TestSupportMap:
 class TestEmbedHolder:
     def test_zero_vector(self, harmonic_setup):
         space, family = harmonic_setup
-        image = embed_holder(FiniteSequence((0.0,) * len(family)), space, family, 0.5)
+        embedding = build_support_map(space, family, 0.5)
+        image = embed_holder(FiniteSequence((0.0,) * len(family)), embedding)
         assert not image.values.any()
 
     def test_unit_vector_is_the_bump(self, harmonic_setup):
         space, family = harmonic_setup
+        embedding = build_support_map(space, family, 0.5)
         for k in range(len(family)):
-            image = embed_holder(FiniteSequence.unit(k, len(family)), space, family, 0.5)
+            image = embed_holder(FiniteSequence.unit(k, len(family)), embedding)
             bump = pair_bump(space, family.pairs[k], family.K, 0.5)
             assert np.array_equal(image.values, bump.values)
 
@@ -77,7 +87,7 @@ class TestEmbedHolder:
         alpha = 0.5
         rng = np.random.default_rng(5)
         vec = FiniteSequence(tuple(rng.uniform(-2, 2, size=len(family))))
-        image = embed_holder(vec, space, family, alpha)
+        image = embed_holder(vec, build_support_map(space, family, alpha))
         for k, (x, y) in enumerate(family.pairs):
             expected = vec.entries[k] * min(1.0, space.d(x, y) ** alpha)
             assert image.value_at(y) == pytest.approx(expected, rel=1e-14)
@@ -85,20 +95,21 @@ class TestEmbedHolder:
     def test_length_mismatch(self, harmonic_setup):
         space, family = harmonic_setup
         with pytest.raises(InvalidInputError):
-            embed_holder(FiniteSequence((1.0,)), space, family, 0.5)
+            embed_holder(FiniteSequence((1.0,)), build_support_map(space, family, 0.5))
 
     def test_linearity(self, harmonic_setup):
         space, family = harmonic_setup
         rng = np.random.default_rng(6)
         m = len(family)
+        embedding = build_support_map(space, family, 0.7)
         for _ in range(10):
             a = rng.uniform(-1, 1, size=m)
             b = rng.uniform(-1, 1, size=m)
             lam = float(rng.uniform(-2, 2))
-            combo = embed_holder(FiniteSequence(tuple(a + lam * b)), space, family, 0.7)
+            combo = embed_holder(FiniteSequence(tuple(a + lam * b)), embedding)
             parts = (
-                embed_holder(FiniteSequence(tuple(a)), space, family, 0.7).values
-                + lam * embed_holder(FiniteSequence(tuple(b)), space, family, 0.7).values
+                embed_holder(FiniteSequence(tuple(a)), embedding).values
+                + lam * embed_holder(FiniteSequence(tuple(b)), embedding).values
             )
             assert np.allclose(combo.values, parts, atol=1e-12)
 
@@ -106,7 +117,8 @@ class TestEmbedHolder:
 class TestSandwich:
     def test_zero_vector_trivial(self, harmonic_setup):
         space, family = harmonic_setup
-        check = verify_sandwich(FiniteSequence((0.0,) * len(family)), space, family, 0.5)
+        embedding = build_support_map(space, family, 0.5)
+        check = verify_sandwich(FiniteSequence((0.0,) * len(family)), embedding)
         assert check.lower_ok and check.upper_ok and check.ratio is None
         assert check.image_holder_norm == 0.0
 
@@ -114,10 +126,9 @@ class TestSandwich:
         # every pair here has distance < 1, so the sup part alone is short
         # and the seminorm must carry the lower bound
         space, family = harmonic_setup
+        embedding = build_support_map(space, family, 0.5)
         for k in range(len(family)):
-            check = verify_sandwich(
-                FiniteSequence.unit(k, len(family)), space, family, 0.5
-            )
+            check = verify_sandwich(FiniteSequence.unit(k, len(family)), embedding)
             assert check.lower_ok and check.upper_ok
             assert check.ratio >= 1.0 - 1e-9
 
@@ -126,9 +137,10 @@ class TestSandwich:
         rng = np.random.default_rng(7)
         for alpha in (0.3, 0.5, 1.0):
             bound = 2.0 / family.K**alpha + 1.0
+            embedding = build_support_map(space, family, alpha)
             for _ in range(50):
                 vec = FiniteSequence(tuple(rng.uniform(-3, 3, size=len(family))))
-                check = verify_sandwich(vec, space, family, alpha)
+                check = verify_sandwich(vec, embedding)
                 assert check.lower_ok and check.upper_ok
                 if check.ratio is not None:
                     assert 1.0 - 1e-9 <= check.ratio <= bound + 1e-9
@@ -139,9 +151,10 @@ class TestSandwich:
         space, family = harmonic_setup
         rng = np.random.default_rng(8)
         alpha = 0.6
+        embedding = build_support_map(space, family, alpha)
         for _ in range(20):
             vec = FiniteSequence(tuple(rng.uniform(-2, 2, size=len(family))))
-            image = embed_holder(vec, space, family, alpha)
+            image = embed_holder(vec, embedding)
             assert sup_norm(image) <= vec.sup_value + 1e-12
             assert holder_seminorm(image, alpha) <= (
                 2.0 / family.K**alpha
@@ -168,10 +181,61 @@ class TestSandwich:
         broken = Tolerances(sandwich_rel=-1.0)
         with pytest.raises(CertificateViolationError) as exc:
             verify_sandwich(
-                FiniteSequence.unit(0, len(family)), space, family, 0.5,
+                FiniteSequence.unit(0, len(family)),
+                build_support_map(space, family, 0.5),
                 tolerances=broken,
             )
         assert isinstance(exc.value.witness, FiniteSequence)
+
+
+class TestOperator:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.sampled_from(("cloud", "grid", "harmonic")),
+        st.integers(4, 40),
+        st.sampled_from((0.25, 0.5, 1.0)),
+        st.sampled_from((0.3, 0.5, 0.8, 1.0)),
+        st.integers(0, 10**6),
+        st.data(),
+    )
+    def test_image_matches_reference_bitwise(self, kind, n, K, alpha, seed, data):
+        rng = np.random.default_rng(seed)
+        if kind == "cloud":
+            space = FiniteMetricSpace.from_points(rng.uniform(0.0, 10.0, size=(n, 2)))
+        else:
+            space = line_grid(n) if kind == "grid" else harmonic_with_zero(n)
+        try:
+            family = find_pair_family(space, K, 5)
+        except PairSearchFailure as exc:
+            family = exc.best
+        embedding = build_support_map(space, family, alpha)
+        coeffs = st.one_of(st.sampled_from((0.0, -0.0, 1.0, -1.0)), st.floats(-5.0, 5.0))
+        a = FiniteSequence(tuple(data.draw(st.lists(coeffs, min_size=len(family), max_size=len(family)))))
+        expected = reference_embed_holder(a.entries, space, family, alpha)
+        assert embed_holder(a, embedding).values.tobytes() == expected.tobytes()
+
+    def test_report_verifies_and_builds_bumps_once(self, harmonic_setup, monkeypatch):
+        space, family = harmonic_setup
+        spies = {name: Mock(wraps=getattr(wbslab.embed, name)) for name in ("verify_pair_family", "pair_bump")}
+        for name, spy in spies.items():
+            monkeypatch.setattr(wbslab.embed, name, spy)
+        rng = np.random.default_rng(12)
+        vectors = structured_vectors(len(family)) + [
+            FiniteSequence(tuple(rng.uniform(-1, 1, size=len(family)))) for _ in range(10)
+        ]
+        assert distortion_report(space, family, 0.5, vectors).samples == len(vectors)
+        assert spies["verify_pair_family"].call_count == 1
+        assert spies["pair_bump"].call_count == len(family)
+
+    def test_inconsistent_family_reported_before_vector_length(self):
+        # the family of test_overlap_detected, with a vector of the wrong length
+        space = line_grid(6)
+        family = SeparatedPairFamily(
+            ((space.labels[0], space.labels[2]), (space.labels[5], space.labels[3])),
+            0.9,
+        )
+        with pytest.raises(InconsistentFamilyError):
+            distortion_report(space, family, 1.0, [FiniteSequence((1.0,))])
 
 
 class TestEmbedCb:

@@ -125,7 +125,7 @@ class TestPairBump:
             bump = pair_bump(space, pair, family.K, 0.6)
             inside = {
                 space.labels[i]
-                for i in np.nonzero(space.ball_members(pair[1], radius))[0]
+                for i in np.nonzero(space.balls([pair[1]], [radius])[0])[0]
             }
             assert set(bump.support()) == inside
 

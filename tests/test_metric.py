@@ -221,9 +221,7 @@ class TestFindPairFamily:
         space = harmonic_with_zero(12)
         family = find_pair_family(space, 0.5, 3)
         radii = family.radii(space)
-        counts = np.zeros(len(space), dtype=int)
-        for (_, y), r in zip(family.pairs, radii):
-            counts += space.ball_members(y, r)
+        counts = space.balls([y for _, y in family.pairs], radii).sum(axis=0)
         assert counts.max() <= 1
 
     def test_bad_arguments(self):
@@ -391,3 +389,21 @@ class TestFindMatchesReference:
         space = FiniteMetricSpace(dist, validate=False)
         got = search_outcome(find_pair_family, space, K, count)
         assert got == search_outcome(reference_find_pair_family, space, K, count)
+
+
+class TestFromGraph:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(2, 40), st.integers(0, 10**6), st.integers(0, 60))
+    def test_matches_fresh_array_floyd_warshall(self, n, seed, extra):
+        rng = np.random.default_rng(seed)
+        order = rng.permutation(n)
+        edges = [(int(order[i]), int(order[i + 1]), float(rng.uniform(0.1, 5.0))) for i in range(n - 1)]
+        ends = rng.integers(0, n, size=(extra, 2))
+        edges += [(int(u), int(v), float(rng.uniform(0.1, 5.0))) for u, v in ends if u != v]
+        expected = np.full((n, n), np.inf)
+        np.fill_diagonal(expected, 0.0)
+        for u, v, w in edges:
+            expected[u, v] = expected[v, u] = min(expected[u, v], w)
+        for k in range(n):
+            expected = np.minimum(expected, expected[:, [k]] + expected[[k], :])
+        assert FiniteMetricSpace.from_graph(n, edges).dist.tobytes() == expected.tobytes()

@@ -6,14 +6,13 @@ from fractions import Fraction
 import pytest
 
 from wbslab.errors import InvalidInputError, NeedsMoreDataError
-from wbslab.schreier import SchreierSet, is_maximal_schreier
+from wbslab.schreier import is_maximal_schreier
 from wbslab.weaknull import (
     SequenceOracle,
     Subsequence,
     WeakConvergenceChallenge,
     certify_not_cesaro_null,
     find_weak_witness,
-    sup_cesaro_norm_lower_bound,
 )
 
 from oracles import brute_force_schreier
@@ -159,7 +158,7 @@ class TestCertificates:
 
     def test_lower_bound_reports_the_mean(self, oracle):
         sub = Subsequence.identity()
-        assert sup_cesaro_norm_lower_bound(sub, 2, oracle=oracle) == HALF
+        assert certify_not_cesaro_null(sub, 2, oracle=oracle).mean == HALF
 
     def test_certificate_json(self, oracle):
         cert = certify_not_cesaro_null(Subsequence.identity(), 2, oracle=oracle)
