@@ -33,7 +33,7 @@ from .embed import (
     embed_linf,
     structured_vectors,
 )
-from .errors import PairSearchFailure, WbsLabError
+from .errors import InvalidInputError, PairSearchFailure, WbsLabError
 from .experiments import EXPERIMENT_NAMES, ExperimentConfig, run_experiment
 from .holder import holder_norm, holder_seminorm, pair_bump, sup_norm, tent_bump
 from .metric import (
@@ -51,6 +51,7 @@ from .schreier import (
     SchreierSet,
     count_max_at_most,
     get_enumeration,
+    unlimited_int_digits,
 )
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 from .weaknull import SequenceOracle, Subsequence, certify_not_cesaro_null
@@ -92,28 +93,47 @@ def _emit(args, payload: dict) -> None:
         args.out.write_text(text)
 
 
+def _parse_int(value) -> int:
+    """An integer of any length: unrank takes ranks of 10^5 digits."""
+    try:
+        with unlimited_int_digits():
+            return int(value)
+    except (TypeError, ValueError):
+        raise InvalidInputError(f"expected a decimal integer, got {str(value)[:40]!r}") from None
+
+
+def _parse_floats(values) -> tuple[float, ...]:
+    try:
+        return tuple(float(v) for v in values)
+    except (TypeError, ValueError):
+        raise InvalidInputError(f"expected a list of numbers, got {str(values)[:60]!r}") from None
+
+
 def _parse_set(text: str) -> SchreierSet:
     text = text.strip()
     if text.startswith("["):
-        return SchreierSet.from_iterable(json.loads(text))
-    return SchreierSet.from_iterable(int(p) for p in text.split(",") if p.strip())
+        values = json.loads(text)
+    else:
+        values = [p for p in text.split(",") if p.strip()]
+    return SchreierSet.from_iterable(_parse_int(v) for v in values)
 
 
 def _parse_vector(text: str, length: int, seed: int) -> list[FiniteSequence]:
     """A vector spec: 'random:SEED[:COUNT]', a file, or comma floats."""
     if text.startswith("random:"):
         parts = text.split(":")[1:]
-        vec_seed = int(parts[0]) if parts and parts[0] else seed
-        count = int(parts[1]) if len(parts) > 1 else 20
+        vec_seed = _parse_int(parts[0]) if parts and parts[0] else seed
+        count = _parse_int(parts[1]) if len(parts) > 1 else 20
+        if vec_seed < 0 or count < 0:
+            raise InvalidInputError(f"random:SEED[:COUNT] needs non-negative values, got {text!r}")
         rng = np.random.default_rng(vec_seed)
         return [
             FiniteSequence(tuple(rng.uniform(-2.0, 2.0, size=length)))
             for _ in range(count)
         ]
     path = existing_file(text)
-    if path:
-        return [FiniteSequence(tuple(float(v) for v in json.loads(path.read_text())))]
-    return [FiniteSequence(tuple(float(p) for p in text.split(",")))]
+    values = json.loads(path.read_text()) if path else text.split(",")
+    return [FiniteSequence(_parse_floats(values))]
 
 
 # ---- subcommand handlers ---------------------------------------------------
@@ -122,14 +142,20 @@ def _parse_vector(text: str, length: int, seed: int) -> list[FiniteSequence]:
 def _cmd_schreier(args) -> int:
     enum = get_enumeration(args.enumeration)
     if args.action == "unrank":
-        s = enum.unrank(int(args.value))
+        s = enum.unrank(_parse_int(args.value))
         _emit(args, {"rank": args.value, "set": s.to_json(), "enumeration": enum.name})
     elif args.action == "rank":
         s = _parse_set(args.value)
-        _emit(args, {"set": s.to_json(), "rank": str(enum.rank_of(s)), "enumeration": enum.name})
+        rank = enum.rank_of(s)
+        with unlimited_int_digits():
+            text = str(rank)
+        _emit(args, {"set": s.to_json(), "rank": text, "enumeration": enum.name})
     else:
-        n = int(args.value)
-        _emit(args, {"n": n, "count_max_at_most": str(count_max_at_most(n))})
+        n = _parse_int(args.value)
+        count = count_max_at_most(n)
+        with unlimited_int_digits():
+            text = str(count)
+        _emit(args, {"n": n, "count_max_at_most": text})
     return 0
 
 
@@ -186,6 +212,8 @@ def _cmd_holder(args) -> int:
 
         values = load_json(args.field)
         if isinstance(values, dict):
+            if "values" not in values:
+                raise InvalidInputError('field JSON needs "values": [one number per point]')
             values = values["values"]
         f = ScalarField(space, values)
         _emit(
@@ -227,7 +255,7 @@ def _cmd_embed(args) -> int:
     if args.target == "cb":
         space = load_space(args.space)
         centers = [c.strip() for c in args.centers.split(",")]
-        radii = [float(r) for r in args.radii.split(",")]
+        radii = list(_parse_floats(args.radii.split(",")))
         vec = _parse_vector(args.vector, len(centers), args.seed)[0]
         image = embed_cb(vec, space, centers, radii)
         exact = sup_norm(image) == vec.sup_value
@@ -241,7 +269,7 @@ def _cmd_embed(args) -> int:
             },
         )
         return 0 if exact else 1
-    masses = [float(m) for m in args.masses.split(",")]
+    masses = list(_parse_floats(args.masses.split(",")))
     vec = _parse_vector(args.vector, len(masses), args.seed)[0]
     step = embed_linf(vec, masses)
     exact = step.ess_sup == vec.sup_value
@@ -270,7 +298,7 @@ def _cmd_classify(args) -> int:
                 raise WbsLabError("classify cb needs --ordinal EXPR or --assume noncompact")
             verdict = classify_cb(ordinal=parse_ordinal(ordinal))
     else:
-        masses = [float(m) for m in args.masses.split(",")]
+        masses = list(_parse_floats(args.masses.split(",")))
         partition = FiniteMeasurePartition(tuple(masses), is_terminal=not args.more_sets)
         verdict = classify_linf(partition)
     _emit(args, verdict.to_json())

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .metric import FiniteMetricSpace
+from .metric import FiniteMetricSpace, _float_array
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
 __all__ = [
@@ -53,7 +53,7 @@ class ScalarField:
     values: np.ndarray
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
+        vals = _float_array(self.values)
         if vals.shape != (len(self.space),):
             raise InvalidInputError(
                 f"need one value per point: {vals.shape} vs {len(self.space)} points"

@@ -164,7 +164,12 @@ class FiniteMetricSpace:
             raise InvalidInputError(f"distance matrix must be square, got shape {arr.shape}")
         if labels is None:
             labels = default_labels(arr.shape[0])
-        labels = tuple(str(l) for l in labels)
+        try:
+            labels = tuple(str(l) for l in labels)
+        except TypeError:
+            raise InvalidInputError(f"labels must be a list of names, got {labels!r}") from None
+        if len(labels) != arr.shape[0]:
+            raise InvalidInputError(f"{len(labels)} labels for {arr.shape[0]} points")
         if len(set(labels)) != len(labels):
             raise InvalidInputError("labels must be distinct")
         if validate:
@@ -217,6 +222,10 @@ class FiniteMetricSpace:
         labels: Sequence[str] | None = None,
     ) -> "FiniteMetricSpace":
         pts = _float_array(points)
+        if pts.ndim not in (1, 2):
+            raise InvalidInputError(
+                f"points must be numbers or coordinate lists, got shape {pts.shape}"
+            )
         if pts.ndim == 1:
             pts = pts[:, None]
         diff = pts[:, None, :] - pts[None, :, :]
@@ -279,9 +288,9 @@ def load_json(source):
 
 
 def existing_file(source) -> Path | None:
-    """The path source names if that file exists, else None (inline text)."""
+    """The path source names if it is a regular file, else None (inline text)."""
     try:
-        return Path(source) if Path(source).exists() else None
+        return Path(source) if Path(source).is_file() else None
     except OSError:  # ENAMETOOLONG: inline JSON or a number list, not a path
         return None
 

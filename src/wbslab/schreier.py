@@ -16,8 +16,12 @@ fixed-width.
 
 from __future__ import annotations
 
+import math
+import sys
+from collections import OrderedDict, namedtuple
+from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import lru_cache
+from itertools import takewhile
 from math import comb
 from typing import Iterable, Iterator
 
@@ -31,6 +35,7 @@ __all__ = [
     "ReversedGradeEnumeration",
     "get_enumeration",
     "ENUMERATION_NAMES",
+    "unlimited_int_digits",
 ]
 
 
@@ -97,6 +102,25 @@ def is_maximal_schreier(candidate: Iterable[int]) -> bool:
     return len(values) == values[0]
 
 
+@contextmanager
+def unlimited_int_digits() -> Iterator[None]:
+    """Lift CPython's limit on int/str conversions inside the block.
+
+    Ranks grow like phi**max, so a set whose maximum passes about 20500
+    has a rank of more than 4300 digits, the default limit.  The previous
+    limit is restored on exit.
+    """
+    if not hasattr(sys, "set_int_max_str_digits"):  # Pythons without the limit
+        yield
+        return
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(previous)
+
+
 def _fib_pair(n: int) -> tuple[int, int]:
     """(F(n), F(n+1)) by fast doubling, with F(0)=0, F(1)=1."""
     if n == 0:
@@ -109,79 +133,227 @@ def _fib_pair(n: int) -> tuple[int, int]:
     return (c, d)
 
 
-@lru_cache(maxsize=4096)
+CountCacheInfo = namedtuple("CountCacheInfo", "hits misses currsize nbytes maxbytes")
+
+# About 30 counts near grade 4e5 (35 kB each) or 11 near grade 1e6.
+_COUNT_CACHE_BYTES = 1 << 20
+
+
+class _FibonacciCache:
+    """F(n) by fast doubling, kept in LRU order under a budget of bytes.
+
+    Counts grow by 0.7 bits per grade, so a cap on the number of entries
+    would not bound memory.  A miss evaluates (F(n), F(n + 1)) and keeps
+    both: ranking or unranking in grade n + 1 needs exactly these two.
+    A value larger than the whole budget is returned but not kept.
+    """
+
+    def __init__(self, maxbytes: int):
+        self.maxbytes = maxbytes
+        self.cache_clear()
+
+    def __call__(self, n: int) -> int:
+        value = self._entries.get(n)
+        if value is not None:
+            self._hits += 1
+            self._entries.move_to_end(n)
+            return value
+        self._misses += 1
+        value, after = _fib_pair(n)
+        self._keep(n + 1, after)
+        self._keep(n, value)
+        return value
+
+    def _keep(self, n: int, value: int) -> None:
+        old = self._entries.pop(n, None)
+        if old is not None:
+            self._nbytes -= sys.getsizeof(old)
+        self._entries[n] = value
+        self._nbytes += sys.getsizeof(value)
+        while self._nbytes > self.maxbytes:
+            self._nbytes -= sys.getsizeof(self._entries.popitem(last=False)[1])
+
+    def cache_info(self) -> CountCacheInfo:
+        return CountCacheInfo(
+            self._hits, self._misses, len(self._entries), self._nbytes, self.maxbytes
+        )
+
+    def cache_clear(self) -> None:
+        self._entries: OrderedDict[int, int] = OrderedDict()
+        self._hits = self._misses = self._nbytes = 0
+
+
+_COUNTS = _FibonacciCache(_COUNT_CACHE_BYTES)
+
+
 def count_max_at_most(n: int) -> int:
     """Number of maximal Schreier sets whose maximum is at most n.
 
     Equals ``sum(comb(n - m, m - 1) for m in 1..n)``, which satisfies the
     Fibonacci recurrence; computed via fast doubling so that ranking stays
-    cheap even when n is large.
+    cheap even when n is large.  ``cache_info()`` and ``cache_clear()``
+    inspect and empty the memory-bounded cache behind it.
     """
     if n < 1:
         raise InvalidInputError(f"n must be >= 1, got {n}")
-    return _fib_pair(int(n))[0]
+    return _COUNTS(int(n))
+
+
+count_max_at_most.cache_info = _COUNTS.cache_info
+count_max_at_most.cache_clear = _COUNTS.cache_clear
 
 
 def count_with_max(n: int) -> int:
     """Number of maximal Schreier sets whose maximum is exactly n."""
     if n == 1:
         return 1
-    return count_max_at_most(n) - count_max_at_most(n - 1)
+    below = count_max_at_most(n - 1)  # a miss here also keeps count(n)
+    return count_max_at_most(n) - below
+
+
+# Binomials are carried from one value to the next by ratio updates,
+# each a multiply and an exact divide by word-sized factors.  A gap
+# longer than this is crossed with one math.comb instead: a comb of a
+# multi-kilobit binomial costs about as much as 50-500 ratio steps.
+_RATIO_STEPS = 64
 
 
 def _comb_lex_rank(lo: int, hi: int, chosen: tuple[int, ...]) -> int:
     """0-based lex rank of a sorted subset of the interval [lo, hi].
 
     Uses the hockey-stick identity to charge each gap between chosen
-    elements with two binomials instead of one per skipped value.
+    elements with two binomials instead of one per skipped value:
+    choosing c after the values below v are settled skips
+    C(hi - v + 1, r) - C(hi - c + 1, r) subsets, r counting c itself.
     """
     rank = 0
-    k = len(chosen)
-    prev = lo - 1
-    for idx, c in enumerate(chosen):
-        j = k - idx - 1
-        a, b = prev + 1, c - 1
-        if a <= b:
-            rank += comb(hi - a + 1, j + 1) - comb(hi - b, j + 1)
-        prev = c
+    v = lo
+    top = comb(hi - lo + 1, len(chosen))  # C(hi - v + 1, r)
+    for r, c in zip(range(len(chosen), 0, -1), chosen):
+        if c - v > _RATIO_STEPS:
+            cur = comb(hi - c + 1, r)
+        else:
+            cur = top
+            for t in range(hi - v + 1, hi - c + 1, -1):
+                cur = cur * (t - r) // t  # C(t - 1, r) from C(t, r)
+        rank += top - cur
+        top = cur * r // (hi - c + 1)  # C(hi - c, r - 1)
+        v = c + 1
     return rank
 
 
+def _first_below(v: int, hi: int, r: int, target: int) -> int:
+    """Smallest c >= v with C(hi - c, r) < target, given C(hi - v + 1, r) >= target.
+
+    Gallops on doubling offsets, then bisects the last doubling.
+    """
+    good, bad, step = v - 1, hi - r + 1, 1  # C(hi - bad, r) == 0
+    while good + step < bad:
+        if comb(hi - good - step, r) < target:
+            bad = good + step
+            break
+        good, step = good + step, 2 * step
+    while bad - good > 1:
+        mid = (good + bad) // 2
+        if comb(hi - mid, r) < target:
+            bad = mid
+        else:
+            good = mid
+    return bad
+
+
 def _comb_lex_unrank(lo: int, hi: int, k: int, index: int) -> tuple[int, ...]:
-    """Inverse of _comb_lex_rank."""
+    """Inverse of _comb_lex_rank.
+
+    The next element is the smallest c with C(hi - c, r) < top - index,
+    where top = C(hi - v + 1, r) counts the subsets still in play.
+    """
+    top = comb(hi - lo + 1, k)
+    if not 0 <= index < top:
+        raise InvalidInputError("combination index out of range")
     out = []
     v = lo
-    while k > 0:
-        if v > hi:
-            raise InvalidInputError("combination index out of range")
-        block = comb(hi - v, k - 1)
-        if index < block:
-            out.append(v)
-            k -= 1
+    for r in range(k, 0, -1):
+        target = top - index
+        cur = top  # C(hi - v + 1, r) >= target
+        for _ in range(_RATIO_STEPS):
+            t = hi - v + 1
+            after = cur * (t - r) // t  # C(hi - v, r)
+            if after < target:
+                break
+            cur, v = after, v + 1
         else:
-            index -= block
+            v = _first_below(v, hi, r, target)
+            cur = comb(hi - v + 1, r)
+        out.append(v)
+        index -= top - cur
+        top = cur * r // (hi - v + 1)  # C(hi - v, r - 1)
         v += 1
     return tuple(out)
 
 
+_LOG_PHI = math.log((1 + math.sqrt(5)) / 2)
+_LOG_SQRT5 = math.log(5) / 2
+
+
 def _grade_of_rank(rank: int) -> int:
-    """Smallest n with count_max_at_most(n) >= rank."""
-    hi = 2
-    while count_max_at_most(hi) < rank:
-        hi *= 2
-    lo = hi // 2
-    while lo + 1 < hi:
-        mid = (lo + hi) // 2
-        if count_max_at_most(mid) < rank:
-            lo = mid
-        else:
-            hi = mid
-    return hi if count_max_at_most(lo) < rank else lo
+    """Smallest n with count_max_at_most(n) >= rank.
+
+    F(n) is the integer nearest phi**n / sqrt(5), so when
+    F(n - 1) < rank <= F(n), x = log_phi(rank * sqrt(5)) lies in
+    (n - 1, n] up to rounding.  The first count looked up is at
+    floor(x + 1e-6): n - 1 except for the last sets of a grade, since the
+    margin exceeds the float error of x (about 1e-10 at grade 1e6).  The
+    loops then step to n through counts of the pair (F(n - 1), F(n)),
+    which one cache miss evaluates and which rank_of of any set of the
+    grade has already looked up.
+    """
+    n = max(1, math.floor((math.log(rank) + _LOG_SQRT5) / _LOG_PHI + 1e-6))
+    while count_max_at_most(n) < rank:
+        n += 1
+    while n > 1 and count_max_at_most(n - 1) >= rank:
+        n -= 1
+    return n
 
 
 def _max_min_in_grade(n: int) -> int:
     # a set {m, ..., n} with min m needs m - 2 elements strictly between
     return (n + 1) // 2
+
+
+def _blocks_up(n: int) -> Iterator[tuple[int, int]]:
+    """(m, C(n - 1 - m, m - 2)) for each minimum m of grade n, ascending.
+
+    C(n - 1 - m, m - 2) sets of grade n have minimum m.  Each block size
+    follows from the last by C(a - 1, b + 1) =
+    C(a, b) * (a - b) * (a - b - 1) / (a * (b + 1)).
+    """
+    block = 1  # C(n - 3, 0)
+    for m in range(2, _max_min_in_grade(n) + 1):
+        if m > 2:
+            a, b = n - m, m - 3  # the block of m - 1 is C(a, b)
+            block = block * (a - b) * (a - b - 1) // (a * (b + 1))
+        yield m, block
+
+
+def _blocks_down(n: int) -> Iterator[tuple[int, int]]:
+    """The pairs of _blocks_up from the largest minimum down.
+
+    Each block size follows from the last by C(a + 1, b - 1) =
+    C(a, b) * (a + 1) * b / ((a - b + 1) * (a - b + 2)).
+    """
+    top = _max_min_in_grade(n)
+    block = comb(n - 1 - top, top - 2)  # 1 or (n - 2) / 2
+    for m in range(top, 1, -1):
+        if m < top:
+            a, b = n - 2 - m, m - 1  # the block of m + 1 is C(a, b)
+            block = block * (a + 1) * b // ((a - b + 1) * (a - b + 2))
+        yield m, block
+
+
+# The blocks before a minimum are summed from whichever end of the grade
+# is nearer, so a set whose minimum is close to the largest one (every
+# identity-rule witness) costs a few blocks, not n / 2 of them.
 
 
 def _rank_in_grade(s: SchreierSet) -> int:
@@ -190,7 +362,11 @@ def _rank_in_grade(s: SchreierSet) -> int:
     if n == 1:
         return 0
     m = s.minimum
-    prior = sum(comb(n - 1 - mm, mm - 2) for mm in range(2, m))
+    if m - 2 <= _max_min_in_grade(n) - m:
+        prior = sum(block for _, block in takewhile(lambda p: p[0] < m, _blocks_up(n)))
+    else:
+        from_m = sum(block for _, block in takewhile(lambda p: p[0] >= m, _blocks_down(n)))
+        prior = count_with_max(n) - from_m
     middle = s.elements[1:-1]
     return prior + _comb_lex_rank(m + 1, n - 1, middle)
 
@@ -200,13 +376,23 @@ def _unrank_in_grade(n: int, index: int) -> SchreierSet:
         if index != 0:
             raise InvalidInputError("grade 1 holds a single set")
         return SchreierSet((1,))
-    for m in range(2, _max_min_in_grade(n) + 1):
-        block = comb(n - 1 - m, m - 2)
-        if index < block:
-            middle = _comb_lex_unrank(m + 1, n - 1, m - 2, index)
-            return SchreierSet((m,) + middle + (n,))
-        index -= block
-    raise InvalidInputError(f"index exceeds grade {n}")
+    size = count_with_max(n)
+    if not 0 <= index < size:
+        raise InvalidInputError(f"index exceeds grade {n}")
+    if 2 * index < size:
+        for m, block in _blocks_up(n):
+            if index < block:
+                break
+            index -= block
+    else:
+        from_end = size - 1 - index
+        for m, block in _blocks_down(n):
+            if from_end < block:
+                index = block - 1 - from_end
+                break
+            from_end -= block
+    middle = _comb_lex_unrank(m + 1, n - 1, m - 2, index)
+    return SchreierSet((m,) + middle + (n,))
 
 
 class CanonicalEnumeration:

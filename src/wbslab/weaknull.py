@@ -23,6 +23,7 @@ than papered over:
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -32,7 +33,12 @@ from .errors import (
     InvalidInputError,
     NeedsMoreDataError,
 )
-from .schreier import CanonicalEnumeration, SchreierSet, get_enumeration
+from .schreier import (
+    CanonicalEnumeration,
+    SchreierSet,
+    get_enumeration,
+    unlimited_int_digits,
+)
 
 __all__ = [
     "SequenceOracle",
@@ -48,30 +54,36 @@ __all__ = [
 # (e.g. a geometric subsequence with a large N); fail loudly instead
 DEFAULT_MAX_TERMS = 1_000_000
 
+# unranked sets a SequenceOracle keeps, least recently used evicted first
+_MAX_CACHED_SETS = 4096
+
 
 class SequenceOracle:
     """Entries of the 0/1 sequence under a fixed enumeration.
 
     Deterministic: the same (k, i) always yields the same entry.  The
-    unranked set for each queried coordinate is cached, so repeated
-    entries along one coordinate cost one unranking total.
+    unranked sets of the most recently queried coordinates are cached in
+    LRU order, so repeated entries along one coordinate cost one
+    unranking total.
     """
 
     def __init__(self, enumeration: CanonicalEnumeration | str = "canonical"):
         if isinstance(enumeration, str):
             enumeration = get_enumeration(enumeration)
         self.enumeration = enumeration
-        self._sets: dict[int, frozenset[int]] = {}
+        self._sets: OrderedDict[int, frozenset[int]] = OrderedDict()
 
     def coordinate_set(self, i: int) -> frozenset[int]:
         if i < 1:
             raise InvalidInputError(f"coordinate must be >= 1, got {i}")
         cached = self._sets.get(i)
-        if cached is None:
-            cached = frozenset(self.enumeration.unrank(i).elements)
-            if len(self._sets) > 4096:
-                self._sets.clear()
-            self._sets[i] = cached
+        if cached is not None:
+            self._sets.move_to_end(i)
+            return cached
+        cached = frozenset(self.enumeration.unrank(i).elements)
+        self._sets[i] = cached
+        if len(self._sets) > _MAX_CACHED_SETS:
+            self._sets.popitem(last=False)
         return cached
 
     def entry(self, k: int, i: int) -> int:
@@ -237,10 +249,12 @@ class CesaroCertificate:
     enumeration: str
 
     def to_json(self) -> dict:
+        with unlimited_int_digits():
+            i0 = str(self.witness_coordinate)
         return {
             "N": self.N,
             "A_N": self.witness_set.to_json(),
-            "i0": str(self.witness_coordinate),
+            "i0": i0,
             "mean": f"{self.mean.numerator}/{self.mean.denominator}",
             "prefix_len": self.prefix_len,
             "enumeration": self.enumeration,
@@ -261,9 +275,13 @@ def certify_not_cesaro_null(
     rank is the witness coordinate, and the certified mean over the first
     2N positions is computed entrywise in exact rational arithmetic.
 
+    The oracle unranks the witness coordinate again and the result must
+    be the witness set itself; the hits are counted from that set.
+
     Raises NeedsMoreDataError when the prefix cannot cover index
-    N + k_{N+1}, and CertificateViolationError if the mean ever fell
-    below 1/2 (which no valid input can trigger).
+    N + k_{N+1}, and CertificateViolationError carrying the witness if
+    the round trip returns another set or the mean ever fell below 1/2
+    (which no valid input can trigger).
     """
     if N < 1:
         raise InvalidInputError(f"N must be >= 1, got {N}")
@@ -278,9 +296,17 @@ def certify_not_cesaro_null(
             "witness set is not maximal Schreier", witness=witness
         )
     coord = oracle.enumeration.rank_of(witness)
+    # the round trip is the certificate's only end-to-end check of the
+    # enumeration; the oracle keeps the unranked set for later entries
+    members = oracle.coordinate_set(coord)
+    if members != frozenset(witness.elements):
+        raise CertificateViolationError(
+            f"unrank(rank_of(witness)) returned another set of {len(members)} elements",
+            witness=witness,
+        )
 
     first = sub.terms(2 * N, max_terms=max_terms)
-    hits = sum(oracle.entry(k, coord) for k in first)
+    hits = sum(1 for k in first if k in members)
     mean = Fraction(hits, 2 * N)
     if mean < Fraction(1, 2):
         raise CertificateViolationError(

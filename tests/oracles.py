@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import bisect
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, groupby
+from math import comb
 
 import numpy as np
 
@@ -33,6 +35,98 @@ def brute_force_schreier_alt(max_value: int) -> list[tuple[int, ...]]:
     for _, grade in groupby(brute_force_schreier(max_value), key=lambda t: t[-1]):
         out.extend(reversed(list(grade)))
     return out
+
+
+# ---- reference rank and unrank: one binomial from scratch per term -----------
+#
+# The original ranking code: grades found by doubling and bisection on
+# the counts, the blocks of each minimum summed with one comb per term,
+# and the in-grade unranking walked with one comb per value.  The
+# production code carries every binomial by ratio updates and must give
+# the same ranks and sets.
+
+
+@lru_cache(maxsize=4096)
+def _reference_count(n: int) -> int:
+    from wbslab.schreier import _fib_pair
+
+    return _fib_pair(n)[0]
+
+
+def reference_grade_of_rank(rank: int) -> int:
+    """Smallest n with count_max_at_most(n) >= rank."""
+    hi = 2
+    while _reference_count(hi) < rank:
+        hi *= 2
+    lo = hi // 2
+    while lo + 1 < hi:
+        mid = (lo + hi) // 2
+        if _reference_count(mid) < rank:
+            lo = mid
+        else:
+            hi = mid
+    return hi if _reference_count(lo) < rank else lo
+
+
+def _reference_grade_size(n: int) -> int:
+    return 1 if n == 1 else _reference_count(n) - _reference_count(n - 1)
+
+
+def _reference_rank_in_grade(elements: tuple[int, ...]) -> int:
+    n, m = elements[-1], elements[0]
+    if n == 1:
+        return 0
+    rank = sum(comb(n - 1 - mm, mm - 2) for mm in range(2, m))
+    lo, hi = m + 1, n - 1
+    chosen = elements[1:-1]
+    k = len(chosen)
+    prev = lo - 1
+    for idx, c in enumerate(chosen):
+        j = k - idx - 1
+        a, b = prev + 1, c - 1
+        if a <= b:
+            rank += comb(hi - a + 1, j + 1) - comb(hi - b, j + 1)
+        prev = c
+    return rank
+
+
+def _reference_unrank_in_grade(n: int, index: int) -> tuple[int, ...]:
+    if n == 1:
+        return (1,)
+    for m in range(2, (n + 1) // 2 + 1):
+        block = comb(n - 1 - m, m - 2)
+        if index < block:
+            out, k, v = [], m - 2, m + 1
+            while k > 0:
+                step = comb(n - 1 - v, k - 1)
+                if index < step:
+                    out.append(v)
+                    k -= 1
+                else:
+                    index -= step
+                v += 1
+            return (m, *out, n)
+        index -= block
+    raise ValueError(f"index exceeds grade {n}")
+
+
+def reference_rank_of(elements, enumeration: str = "canonical") -> int:
+    """1-based rank of a maximal Schreier set under either enumeration."""
+    elements = tuple(elements)
+    n = elements[-1]
+    within = _reference_rank_in_grade(elements)
+    if enumeration == "alt":
+        within = _reference_grade_size(n) - 1 - within
+    return (0 if n == 1 else _reference_count(n - 1)) + within + 1
+
+
+def reference_unrank(rank: int, enumeration: str = "canonical") -> tuple[int, ...]:
+    """The rank-th maximal Schreier set (1-based) under either enumeration."""
+    n = reference_grade_of_rank(rank)
+    within = rank - 1 if n == 1 else rank - _reference_count(n - 1) - 1
+    if enumeration == "alt":
+        within = _reference_grade_size(n) - 1 - within
+    return _reference_unrank_in_grade(n, within)
 
 
 # ---- separated pair families by triple loops ---------------------------------

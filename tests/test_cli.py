@@ -5,6 +5,7 @@ import json
 import pytest
 
 from wbslab.cli import main
+from wbslab.schreier import count_max_at_most, unlimited_int_digits
 
 
 def run_cli(capsys, *argv):
@@ -37,6 +38,19 @@ class TestSchreierCommands:
             capsys, "schreier", "rank", "3,4,5", "--enumeration", "alt"
         )
         assert payload["rank"] == "4"
+
+    def test_ranks_past_the_int_digit_limit_round_trip(self, capsys):
+        code, payload = run_cli(capsys, "schreier", "rank", "2,1000000")
+        assert code == 0 and len(payload["rank"]) > 200_000
+        code, back = run_cli(capsys, "schreier", "unrank", payload["rank"])
+        assert code == 0 and back["set"] == [2, 1_000_000]
+
+    def test_count_past_the_int_digit_limit(self, capsys):
+        code, payload = run_cli(capsys, "schreier", "count", "30000")
+        assert code == 0
+        with unlimited_int_digits():
+            assert payload["count_max_at_most"] == str(count_max_at_most(30000))
+        assert len(payload["count_max_at_most"]) > 4300
 
     def test_invalid_set_exits_nonzero(self, capsys):
         code = main(["schreier", "rank", "2,3,4"])
@@ -83,6 +97,14 @@ class TestCesaroCommand:
         assert len(terms) > 255
         code, payload = run_cli(capsys, "cesaro", "certify", "--subsequence", terms, "--N", "4")
         assert code == 0 and payload["prefix_len"] <= 119
+
+    def test_witness_coordinate_past_the_int_digit_limit(self, capsys):
+        code, payload = run_cli(
+            capsys, "cesaro", "certify", "--subsequence", "identity", "--N", "20000"
+        )
+        assert code == 0
+        assert payload["A_N"] == list(range(20001, 40002))
+        assert len(payload["i0"]) > 4300 and payload["mean"] == "1/2"
 
     def test_short_prefix_fails_cleanly(self, capsys):
         code = main(["cesaro", "certify", "--subsequence", "1,2,3", "--N", "4"])
@@ -176,10 +198,26 @@ class TestMetricAndPairs:
         ["holder", "seminorm", "{space}", "{missing}"],
         ["embed", "holder", "{space}", "{missing}"],
         ["classify", "ordinal"],
+        ["metric", "validate", "{dir}"],
+        ["holder", "seminorm", "{space}", '{"a": 1}'],
+        ["holder", "seminorm", "{space}", '["x"]'],
+        ["pairs", "find", '{"points": 5}'],
+        ["pairs", "find", '{"points": [[0], [1]], "labels": 5}'],
+        ["embed", "holder", "{space}", '{"K": 0.5, "pairs": [["p0", "p1"]]}', "--vector", "a,b"],
+        ["embed", "holder", "{space}", '{"K": 0.5, "pairs": [["p0", "p1"]]}', "--vector", "random:-1"],
+        ["schreier", "unrank", "abc"],
+        ["schreier", "unrank", "0x10"],
+        ["schreier", "rank", "a,b"],
+        ["schreier", "count", "abc"],
+        ["classify", "linf", "--masses", "1,a"],
     ],
 )
 def test_malformed_arguments_are_json_errors(capsys, space_file, tmp_path, argv):
-    names = {"{space}": str(space_file), "{missing}": str(tmp_path / "nosuch.json")}
+    names = {
+        "{space}": str(space_file),
+        "{missing}": str(tmp_path / "nosuch.json"),
+        "{dir}": str(tmp_path),
+    }
     assert main([names.get(arg, arg) for arg in argv]) == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err

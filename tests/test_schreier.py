@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wbslab import schreier
 from wbslab.errors import InvalidInputError
 from wbslab.schreier import (
     CanonicalEnumeration,
@@ -17,7 +18,13 @@ from wbslab.schreier import (
     is_maximal_schreier,
 )
 
-from oracles import brute_force_schreier, brute_force_schreier_alt
+from oracles import (
+    brute_force_schreier,
+    brute_force_schreier_alt,
+    reference_grade_of_rank,
+    reference_rank_of,
+    reference_unrank,
+)
 
 CANONICAL = get_enumeration("canonical")
 ALT = get_enumeration("alt")
@@ -157,3 +164,122 @@ class TestAlternativeEnumeration:
         assert isinstance(get_enumeration("alt"), ReversedGradeEnumeration)
         with pytest.raises(InvalidInputError):
             get_enumeration("nope")
+
+
+def _assert_matches_reference(s: SchreierSet) -> None:
+    for enum in (CANONICAL, ALT):
+        rank = enum.rank_of(s)
+        assert rank == reference_rank_of(s.elements, enum.name)
+        assert enum.unrank(rank) == s
+
+
+def _set_from_gaps(m: int, gaps) -> SchreierSet:
+    elems = [m]
+    for g in gaps:
+        elems.append(elems[-1] + 1 + g)
+    return SchreierSet(tuple(elems))
+
+
+class TestAgainstReference:
+    """The ratio-walked ranking against the one-comb-per-term original."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_dense_gappy_sets(self, data):
+        m = data.draw(st.integers(min_value=2, max_value=300))
+        gaps = data.draw(st.lists(st.integers(0, 3), min_size=m - 1, max_size=m - 1))
+        _assert_matches_reference(_set_from_gaps(m, gaps))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_sparse_sets_with_large_maxima(self, data):
+        m = data.draw(st.integers(min_value=2, max_value=6))
+        top = data.draw(st.integers(min_value=2 * m, max_value=10**5))
+        middle = data.draw(
+            st.lists(st.integers(m + 1, top - 1), min_size=m - 2, max_size=m - 2, unique=True)
+        )
+        _assert_matches_reference(SchreierSet((m, *sorted(middle), top)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_gaps_straddling_the_ratio_crossover(self, data):
+        steps = schreier._RATIO_STEPS
+        m = data.draw(st.integers(min_value=2, max_value=12))
+        near = st.sampled_from(
+            [0, 1, steps - 2, steps - 1, steps, steps + 1, steps + 2, 3 * steps]
+        )
+        gaps = data.draw(st.lists(near, min_size=m - 1, max_size=m - 1))
+        _assert_matches_reference(_set_from_gaps(m, gaps))
+
+    @pytest.mark.parametrize("m", [3, 4, 7])
+    def test_gaps_ending_at_gallop_probes(self, m):
+        # Past the ratio steps, unranking probes offsets 2**j - 1 further
+        # on.  A gap that ends next to a probe, followed by consecutive
+        # elements, makes a probed binomial equal the target exactly.
+        steps = schreier._RATIO_STEPS
+        for position in range(m - 2):
+            for j in range(12):
+                for gap in (steps - 2 + 2**j, steps - 1 + 2**j, steps + 2**j):
+                    for last in (0, 50, 3000):
+                        gaps = [0] * (m - 1)
+                        gaps[position], gaps[-1] = gap, last
+                        _assert_matches_reference(_set_from_gaps(m, gaps))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=1, max_value=10**120), st.sampled_from(["canonical", "alt"]))
+    def test_unrank_of_arbitrary_ranks(self, rank, name):
+        assert get_enumeration(name).unrank(rank).elements == reference_unrank(rank, name)
+
+    def test_grade_of_rank_at_every_boundary(self):
+        for n in range(3, 2001):
+            f = count_max_at_most(n)
+            for rank in (f - 1, f, f + 1):
+                assert schreier._grade_of_rank(rank) == reference_grade_of_rank(rank)
+
+    @pytest.mark.parametrize("shift", [-3, 3])
+    def test_grade_of_rank_corrects_a_wrong_estimate(self, monkeypatch, shift):
+        shifted = schreier._LOG_SQRT5 + shift * schreier._LOG_PHI
+        monkeypatch.setattr(schreier, "_LOG_SQRT5", shifted)
+        for n in range(3, 300):
+            f = count_max_at_most(n)
+            for rank in (f - 1, f, f + 1):
+                assert schreier._grade_of_rank(rank) == reference_grade_of_rank(rank)
+
+    @pytest.mark.parametrize("enum", [CANONICAL, ALT], ids=["canonical", "alt"])
+    def test_grade_boundaries(self, enum):
+        # grade 2 is empty: F(2) = F(1), so the identities start at n = 3
+        grades = sorted(set(range(3, 200)) | {int(10 ** (2 + 3 * i / 40)) for i in range(41)})
+        assert grades[-1] == 10**5
+        for n in grades:
+            f = count_max_at_most(n)
+            assert enum.unrank(f).maximum == n
+            first_of_next = enum.unrank(f + 1)
+            assert first_of_next.maximum == n + 1
+            if enum is CANONICAL:
+                assert first_of_next.elements == (2, n + 1)
+
+
+class TestCountCache:
+    def test_memory_bound_across_many_large_grades(self):
+        count_max_at_most.cache_clear()
+        info = count_max_at_most.cache_info()
+        assert info.nbytes == 0 and info.currsize == 0
+        grades = sorted({int(10 ** (3 + 3 * i / 199)) for i in range(200)})
+        assert len(grades) == 200 and grades[-1] == 10**6
+        for n in grades:
+            s = SchreierSet((2, n))
+            assert CANONICAL.rank_of(s) == count_max_at_most(n - 1) + 1
+            info = count_max_at_most.cache_info()
+            assert info.nbytes <= info.maxbytes
+        assert 0 < info.currsize < len(grades)
+        assert info.maxbytes == schreier._COUNT_CACHE_BYTES
+
+    def test_a_miss_keeps_both_counts_of_the_pair(self):
+        count_max_at_most.cache_clear()
+        count_max_at_most(50)
+        count_max_at_most(50)
+        count_max_at_most(51)
+        info = count_max_at_most.cache_info()._asdict()
+        assert (info["hits"], info["misses"], info["currsize"]) == (2, 1, 2)
+        count_max_at_most.cache_clear()
+        assert count_max_at_most.cache_info().currsize == 0

@@ -5,8 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from wbslab.errors import InvalidInputError, NeedsMoreDataError
-from wbslab.schreier import is_maximal_schreier
+from wbslab import weaknull
+from wbslab.errors import CertificateViolationError, InvalidInputError, NeedsMoreDataError
+from wbslab.schreier import SchreierSet, get_enumeration, is_maximal_schreier
 from wbslab.weaknull import (
     SequenceOracle,
     Subsequence,
@@ -171,6 +172,33 @@ class TestCertificates:
             "prefix_len": 5,
             "enumeration": "canonical",
         }
+
+    def test_round_trip_mismatch_is_a_violation(self, monkeypatch):
+        enum = get_enumeration("canonical")
+        wrong = SchreierSet((3, 4, 6))
+        monkeypatch.setattr(enum, "unrank", lambda rank: wrong)
+        with pytest.raises(CertificateViolationError) as info:
+            certify_not_cesaro_null(Subsequence.identity(), 2, oracle=SequenceOracle(enum))
+        assert info.value.witness == SchreierSet((3, 4, 5))
+
+
+class TestOracleCache:
+    def test_evicts_the_least_recently_used_set(self, monkeypatch):
+        enum = get_enumeration("canonical")
+        unranked = []
+        real = enum.unrank
+        monkeypatch.setattr(enum, "unrank", lambda rank: unranked.append(rank) or real(rank))
+        oracle = SequenceOracle(enum)
+        cap = weaknull._MAX_CACHED_SETS
+        for i in range(1, cap + 1):
+            oracle.coordinate_set(i)
+        oracle.coordinate_set(1)
+        oracle.coordinate_set(cap + 1)
+        assert len(unranked) == cap + 1
+        oracle.coordinate_set(1)  # used recently: still cached
+        assert len(unranked) == cap + 1
+        oracle.coordinate_set(2)  # the least recently used: evicted
+        assert unranked[-1] == 2 and len(unranked) == cap + 2
 
 
 class TestWeakWitnessSearch:
