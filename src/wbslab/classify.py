@@ -154,16 +154,30 @@ def _tokenize(text: str) -> list[str]:
     return tokens
 
 
+# Each level of parenthesized exponent costs a few Python frames, here and
+# in the recursive comparisons and printing of Ordinal; 300 levels stay
+# well inside the default recursion limit of 1000 frames.
+MAX_ORDINAL_NESTING = 300
+
+
 def parse_ordinal(text: str) -> Ordinal:
     """Parse Cantor normal form like ``w^2*3 + w*2 + 5`` or ``w^w``.
 
     Terms must already appear in strictly decreasing exponent order;
     anything else is rejected rather than silently renormalized, because
-    ordinal addition is not commutative.
+    ordinal addition is not commutative.  Parentheses may nest at most
+    ``MAX_ORDINAL_NESTING`` deep; deeper input is rejected before parsing.
     """
     tokens = _tokenize(text)
     if not tokens:
         raise InvalidInputError("empty ordinal expression")
+    depth = 0
+    for tok in tokens:
+        depth += (tok == "(") - (tok == ")")
+        if depth > MAX_ORDINAL_NESTING:
+            raise InvalidInputError(
+                f"ordinal nests parentheses deeper than {MAX_ORDINAL_NESTING} levels"
+            )
     pos = 0
 
     def peek():

@@ -138,6 +138,13 @@ CountCacheInfo = namedtuple("CountCacheInfo", "hits misses currsize nbytes maxby
 # About 30 counts near grade 4e5 (35 kB each) or 11 near grade 1e6.
 _COUNT_CACHE_BYTES = 1 << 20
 
+# The largest grade counted.  F(10**7) has 6.9 million bits (904 KiB as
+# a Python int, so it still fits the cache) and takes 1.6-3.2 s on a
+# 2-core Xeon; the cost grows faster than linearly past it, and a witness
+# of a fast-growing subsequence can ask for grades like 2**520, whose
+# count would never finish.
+_MAX_GRADE = 10**7
+
 
 class _FibonacciCache:
     """F(n) by fast doubling, kept in LRU order under a budget of bytes.
@@ -191,12 +198,17 @@ def count_max_at_most(n: int) -> int:
 
     Equals ``sum(comb(n - m, m - 1) for m in 1..n)``, which satisfies the
     Fibonacci recurrence; computed via fast doubling so that ranking stays
-    cheap even when n is large.  ``cache_info()`` and ``cache_clear()``
-    inspect and empty the memory-bounded cache behind it.
+    cheap even when n is large.  Every rank, unrank and certificate goes
+    through here, so n above ``_MAX_GRADE`` is rejected here, once.
+    ``cache_info()`` and ``cache_clear()`` inspect and empty the
+    memory-bounded cache behind it.
     """
+    n = int(n)
     if n < 1:
         raise InvalidInputError(f"n must be >= 1, got {n}")
-    return _COUNTS(int(n))
+    if n > _MAX_GRADE:
+        raise InvalidInputError(f"n exceeds the largest supported grade, {_MAX_GRADE}")
+    return _COUNTS(n)
 
 
 count_max_at_most.cache_info = _COUNTS.cache_info

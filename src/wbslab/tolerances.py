@@ -8,6 +8,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
+from .errors import InvalidInputError
+
 
 @dataclass(frozen=True)
 class Tolerances:
@@ -23,7 +25,10 @@ class Tolerances:
     def with_overrides(self, **kwargs: float) -> "Tolerances":
         unknown = set(kwargs) - set(self.__dataclass_fields__)
         if unknown:
-            raise ValueError(f"unknown tolerance name(s): {sorted(unknown)}")
+            raise InvalidInputError(
+                f"unknown tolerance name(s): {sorted(unknown)}; "
+                f"choose from {sorted(self.__dataclass_fields__)}"
+            )
         return replace(self, **kwargs)
 
 

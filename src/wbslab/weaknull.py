@@ -217,7 +217,10 @@ class Subsequence:
             ("random", cls.seeded_increments, 2),
         ):
             if text.startswith(name + ":"):
-                args = [int(p) for p in text[len(name) + 1 :].split(",") if p.strip()]
+                try:
+                    args = [int(p) for p in text[len(name) + 1 :].split(",") if p.strip()]
+                except ValueError:
+                    args = []
                 if not 1 <= len(args) <= arity:
                     raise InvalidInputError(f"bad rule arguments in {text!r}")
                 return maker(*args)

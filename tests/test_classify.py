@@ -5,6 +5,7 @@ import math
 import pytest
 
 from wbslab.classify import (
+    MAX_ORDINAL_NESTING,
     FiniteMeasurePartition,
     INFINITE_RANK,
     Ordinal,
@@ -73,6 +74,16 @@ class TestOrdinalType:
         for text in ["", "w^", "w*", "q", "w^2*0"]:
             with pytest.raises(InvalidInputError):
                 parse_ordinal(text)
+
+    def test_nesting_cap(self):
+        def tower(depth):
+            return "w^(" * depth + "1" + ")" * depth
+
+        deepest = parse_ordinal(tower(MAX_ORDINAL_NESTING))
+        assert cb_rank(deepest) is INFINITE_RANK
+        for depth in (MAX_ORDINAL_NESTING + 1, 1000):
+            with pytest.raises(InvalidInputError, match="deeper than"):
+                parse_ordinal(tower(depth))
 
     def test_finite_accessors(self):
         assert parse_ordinal("5").as_int() == 5

@@ -1,10 +1,14 @@
 """End-to-end CLI behavior through the argparse entry point."""
 
 import json
+import shlex
+import time
+from pathlib import Path
 
 import pytest
 
-from wbslab.cli import main
+from wbslab.cli import build_parser, main
+from wbslab.errors import InvalidInputError
 from wbslab.schreier import count_max_at_most, unlimited_int_digits
 
 
@@ -210,6 +214,43 @@ class TestMetricAndPairs:
         ["schreier", "rank", "a,b"],
         ["schreier", "count", "abc"],
         ["classify", "linf", "--masses", "1,a"],
+        # values the library rejects
+        ["cesaro", "certify", "--subsequence", "affine:x", "--N", "2"],
+        ["cesaro", "certify", "--subsequence", "geometric:x", "--N", "2"],
+        ["metric", "validate", "{space}", "--tolerance", "nope=1"],
+        ["metric", "validate", "{space}", "--tolerance", "triangle_rel=abc"],
+        ["metric", "validate", "{space}", "--tolerance", "triangle_rel"],
+        ["embed", "linf", "--masses", "1,2", "--vector", "random:1:0"],
+        ["embed", "cb", "{space}", "--centers", "p0", "--radii", "0.4", "--vector", "random:1:0"],
+        ["holder", "bump", "{space}", "--pair", "p0,p1,p2"],
+        ["holder", "bump", "{space}", "--kind", "tent"],
+        ["schreier", "count", "15", "--out", "{dir}"],
+        ["classify", "ordinal", "w^(" * 1000 + "1" + ")" * 1000],
+        # missing required arguments
+        ["embed", "cb", "{space}", "--centers", "p0"],
+        ["embed", "cb", "{space}", "--radii", "0.4"],
+        ["embed", "linf"],
+        ["classify", "linf"],
+        ["embed", "holder", "{space}"],
+        ["embed", "holder"],
+        ["holder", "seminorm", "{space}"],
+        ["holder", "bump", "{space}"],
+        ["pairs", "verify", "{space}"],
+        ["schreier", "unrank"],
+        ["schreier"],
+        [],
+        # shared flags on actions that do not read them, and deleted aliases
+        ["schreier", "count", "5", "--enumeration", "alt"],
+        ["schreier", "rank", "3,4,5", "--tolerance", "nope=1"],
+        ["cesaro", "certify", "--subsequence", "identity", "--N", "2", "--tolerance", "a=1"],
+        ["classify", "ordinal", "w", "--seed", "3"],
+        ["pairs", "find", "{space}", "--tolerance", "triangle_rel=1"],
+        ["embed", "linf", "--masses", "1", "--vector", "1", "--report", "r.json"],
+        ["classify", "cb", "w*5"],
+        ["classify", "ordinal", "--ordinal", "w"],
+        ["classify", "calpha", "--assume", "finite"],
+        ["classify", "cb", "--ordinal", "w", "--assume", "noncompact"],
+        ["classify", "calpha", "--points", "3", "--assume", "infinite"],
     ],
 )
 def test_malformed_arguments_are_json_errors(capsys, space_file, tmp_path, argv):
@@ -219,9 +260,101 @@ def test_malformed_arguments_are_json_errors(capsys, space_file, tmp_path, argv)
         "{dir}": str(tmp_path),
     }
     assert main([names.get(arg, arg) for arg in argv]) == 2
-    err = capsys.readouterr().err
-    assert "Traceback" not in err
-    assert "error" in json.loads(err)
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    assert "error" in json.loads(captured.err)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cesaro", "certify", "--subsequence", "geometric:1,2", "--N", "9"],
+        ["schreier", "count", str(10**30)],
+        ["schreier", "rank", f"2,{10**30}"],
+    ],
+)
+def test_grades_past_the_cap_fail_at_once(capsys, argv):
+    # each of these ran for minutes in the Fibonacci count before the cap
+    start = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "largest supported grade" in json.loads(captured.err)["message"]
+
+
+def test_usage_error_names_the_action(capsys):
+    assert main(["embed", "cb", "space.json", "--centers", "p0"]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err == {
+        "error": "InvalidInputError",
+        "message": "wbslab embed cb: the following arguments are required: --radii",
+    }
+
+
+def test_pinned_error_messages(capsys):
+    # the benchmark's golden digests cover these stderr payloads
+    assert main(["classify", "cb"]) == 2
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "WbsLabError",
+        "message": "classify cb needs --ordinal EXPR or --assume noncompact",
+    }
+    assert main(["classify", "calpha"]) == 2
+    assert json.loads(capsys.readouterr().err)["message"] == (
+        "classify calpha needs --points N or --assume infinite"
+    )
+
+
+# The minimal call of each action and the shared flags its handler reads.
+ACTIONS = [
+    (["schreier", "unrank", "5"], {"--enumeration"}),
+    (["schreier", "rank", "3,4,5"], {"--enumeration"}),
+    (["schreier", "count", "5"], set()),
+    (["cesaro", "certify", "--subsequence", "identity", "--N", "2"], {"--enumeration", "--seed"}),
+    (["metric", "validate", "S"], {"--tolerance"}),
+    (["pairs", "find", "S"], set()),
+    (["pairs", "verify", "S", "F"], set()),
+    (["holder", "seminorm", "S", "F"], set()),
+    (["holder", "bump", "S"], set()),
+    (["embed", "holder", "S", "F"], {"--seed", "--tolerance"}),
+    (["embed", "cb", "S", "--centers", "p0", "--radii", "1"], {"--seed"}),
+    (["embed", "linf", "--masses", "1"], {"--seed"}),
+    (["classify", "calpha"], set()),
+    (["classify", "cb"], set()),
+    (["classify", "linf", "--masses", "1"], set()),
+    (["classify", "ordinal", "w"], set()),
+    (["experiment", "run", "all"], {"--seed", "--enumeration", "--tolerance"}),
+]
+SHARED_FLAGS = {"--seed": "3", "--enumeration": "alt", "--tolerance": "float_slack=1e-9"}
+
+
+@pytest.mark.parametrize("argv, reads", ACTIONS, ids=[" ".join(argv[:2]) for argv, _ in ACTIONS])
+def test_shared_flags_only_where_read(argv, reads):
+    parser = build_parser()
+    args = parser.parse_args(argv + ["--out", "report.json"])
+    assert args.out == Path("report.json") and callable(args.handler)
+    for flag, value in SHARED_FLAGS.items():
+        if flag in reads:
+            parser.parse_args(argv + [flag, value])
+        else:
+            with pytest.raises(InvalidInputError, match=f"unrecognized arguments: {flag}"):
+                parser.parse_args(argv + [flag, value])
+
+
+def _readme_tour() -> list[list[str]]:
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    tour = readme.split("## CLI tour", 1)[1].split("\n## ", 1)[0]
+    lines = [line for line in tour.splitlines() if line.startswith("wbslab ")]
+    return [shlex.split(line, comments=True)[1:] for line in lines]
+
+
+def test_readme_tour_parses():
+    calls = _readme_tour()
+    assert len(calls) >= 20
+    for argv in calls:
+        args = build_parser().parse_args(argv)
+        assert callable(args.handler)
 
 
 class TestHolderAndEmbed:
@@ -304,7 +437,7 @@ class TestClassifyCommands:
         assert "assumption" in payload
 
     def test_cb_with_ordinal(self, capsys):
-        code, payload = run_cli(capsys, "classify", "cb", "w*5")
+        code, payload = run_cli(capsys, "classify", "cb", "--ordinal", "w*5")
         assert payload["wbs"]
 
     def test_linf(self, capsys):
@@ -334,5 +467,5 @@ class TestExperimentCommand:
         assert (tmp_path / "isometry-suite.csv").exists()
 
     def test_unknown_experiment_rejected(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["experiment", "run", "bogus"])
+        assert main(["experiment", "run", "bogus"]) == 2
+        assert "error" in json.loads(capsys.readouterr().err)

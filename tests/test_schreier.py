@@ -147,6 +147,14 @@ class TestCounts:
         with pytest.raises(InvalidInputError):
             count_max_at_most(0)
 
+    def test_grade_cap(self):
+        # checked before any Fibonacci work, so a grade like 2**520 fails at once
+        for n in (schreier._MAX_GRADE + 1, 2**520, 10**30):
+            with pytest.raises(InvalidInputError, match="largest supported grade"):
+                count_max_at_most(n)
+        with pytest.raises(InvalidInputError, match="largest supported grade"):
+            CanonicalEnumeration().rank_of(SchreierSet((2, 10**30)))
+
 
 class TestAlternativeEnumeration:
     def test_is_a_bijection_on_prefix(self):
