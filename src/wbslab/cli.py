@@ -17,6 +17,7 @@ import argparse
 import json
 import math
 import sys
+from collections.abc import Iterator
 from pathlib import Path
 
 import numpy as np
@@ -59,6 +60,13 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message: str):
         raise InvalidInputError(f"{self.prog}: {message}")
+
+    def parse_known_args(self, args=None, namespace=None):
+        """An action's parser reports its own stray arguments, naming the action."""
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras and self.get_default("handler") is not None:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
 
 
 def _tolerance_override(text: str) -> tuple[str, float]:
@@ -119,8 +127,8 @@ def _parse_set(text: str) -> SchreierSet:
     return SchreierSet.from_iterable(_parse_int(v) for v in values)
 
 
-def _parse_vector(text: str, length: int, seed: int) -> list[FiniteSequence]:
-    """A vector spec: 'random:SEED[:COUNT]', a file, or comma floats."""
+def _parse_vectors(text: str, length: int, seed: int) -> Iterator[FiniteSequence]:
+    """A vector spec: 'random:SEED[:COUNT]', a file, or comma floats; drawn as consumed."""
     if text.startswith("random:"):
         parts = text.split(":")[1:]
         vec_seed = _parse_int(parts[0]) if parts and parts[0] else seed
@@ -128,10 +136,12 @@ def _parse_vector(text: str, length: int, seed: int) -> list[FiniteSequence]:
         if vec_seed < 0 or count < 1:
             raise InvalidInputError(f"random:SEED[:COUNT] needs SEED >= 0 and COUNT >= 1: {text!r}")
         rng = np.random.default_rng(vec_seed)
-        return [FiniteSequence(tuple(rng.uniform(-2.0, 2.0, size=length))) for _ in range(count)]
+        for _ in range(count):
+            yield FiniteSequence(tuple(rng.uniform(-2.0, 2.0, size=length)))
+        return
     path = existing_file(text)
     values = json.loads(path.read_text()) if path else text.split(",")
-    return [FiniteSequence(_parse_floats(values))]
+    yield FiniteSequence(_parse_floats(values))
 
 
 # ---- action handlers -------------------------------------------------------
@@ -229,7 +239,7 @@ def _cmd_bump(args) -> int:
 def _cmd_embed_holder(args) -> int:
     space = load_space(args.space)
     family = SeparatedPairFamily.from_json(load_json(args.family))
-    vectors = structured_vectors(len(family)) + _parse_vector(args.vector, len(family), args.seed)
+    vectors = structured_vectors(len(family)) + list(_parse_vectors(args.vector, len(family), args.seed))
     report = distortion_report(space, family, args.alpha, vectors, tolerances=_tolerances(args))
     payload = report.to_json()
     payload.update({"alpha": args.alpha, "seed": args.seed})
@@ -240,7 +250,7 @@ def _cmd_embed_cb(args) -> int:
     space = load_space(args.space)
     centers = [c.strip() for c in args.centers.split(",")]
     radii = list(_parse_floats(args.radii.split(",")))
-    vec = _parse_vector(args.vector, len(centers), args.seed)[0]
+    vec = next(_parse_vectors(args.vector, len(centers), args.seed))
     image = embed_cb(vec, space, centers, radii)
     image_sup = sup_norm(image)
     exact = image_sup == vec.sup_value
@@ -250,7 +260,7 @@ def _cmd_embed_cb(args) -> int:
 
 def _cmd_embed_linf(args) -> int:
     masses = list(_parse_floats(args.masses.split(",")))
-    vec = _parse_vector(args.vector, len(masses), args.seed)[0]
+    vec = next(_parse_vectors(args.vector, len(masses), args.seed))
     step = embed_linf(vec, masses)
     exact = step.ess_sup == vec.sup_value
     payload = step.to_json()

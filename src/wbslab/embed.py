@@ -5,8 +5,10 @@ Three constructions, one per target:
 * ``embed_holder`` sends a finite coefficient vector into the Holder
   functions over a separated pair family: coordinate n rides the n-th
   pair bump.  The Holder norm of the image is sandwiched between the
-  sup of the coefficients and ``(2 / K**alpha + 1)`` times it, and
-  ``verify_sandwich`` certifies both inequalities on concrete inputs.
+  sup of the coefficients and ``(2 / K**alpha + 1)`` times it.
+  ``distortion_report`` and ``verify_sandwich`` certify both on batches
+  of concrete inputs, with norms from ``HolderEmbedding.apply_batch``,
+  whose docstring gives why its support-restricted seminorm is exact.
 * ``embed_cb`` sends coefficients onto disjoint tent bumps; the sup norm
   of the image reproduces the coefficient sup exactly.
 * ``embed_linf`` sends coefficients onto the indicators of a positive-
@@ -27,7 +29,8 @@ from .errors import (
     InconsistentFamilyError,
     InvalidInputError,
 )
-from .holder import ScalarField, holder_norm, pair_bump, tent_bump, validate_alpha
+# perfbench/tracing.py wraps holder_norm and tent_bump under this module's names
+from .holder import ScalarField, holder_norm, pair_bump, tent_bump, validate_alpha  # noqa: F401
 from .metric import FiniteMetricSpace, SeparatedPairFamily, verify_pair_family
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
@@ -84,18 +87,38 @@ class FiniteSequence:
 class HolderEmbedding:
     """The operator a -> sum_n a_n * phi_n over a verified pair family.
 
-    ``assignment[p]`` is the 0-based index of the pair whose open ball
-    contains point p, or None when p lies outside every ball; the balls
-    are disjoint, so the index is unique.  ``profile[p]`` is the value
-    at p of that pair's bump, 0.0 off every ball.  Built once by
-    ``build_support_map`` and applied to many vectors by ``embed_holder``.
+    Every image vanishes off S, the union of the family's disjoint open
+    balls.  ``support`` lists S in ascending order; ``owner[i]`` is the
+    pair whose ball holds ``support[i]`` and ``weight[i]`` its bump value
+    there.  ``den[i, j]`` is d(S[i], S[j])**alpha, and ``off_min[i]`` the
+    least d(S[i], q)**alpha over q off S (inf when S is the whole space).
+    So a seminorm scans only pairs inside S: pairs off S give exact 0,
+    and IEEE division is monotone in its divisor, so the largest
+    |f(p)| / d(p, q)**alpha over q off S is |f(p)| / ``off_min`` bit for
+    bit.  The minimum is over powered values, as rounded powers need not
+    be monotone; distances are read as d[min(p, q), max(p, q)] and
+    powered as arrays, exactly as ``holder_seminorm`` does.
     """
 
     space: FiniteMetricSpace
     family: SeparatedPairFamily
     alpha: float
-    assignment: tuple[int | None, ...]
-    profile: np.ndarray
+    support: np.ndarray
+    owner: np.ndarray
+    weight: np.ndarray
+    den: np.ndarray
+    off_min: np.ndarray
+
+    def apply_batch(self, coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Sup norms and seminorms of the images of the V rows of coeffs, bit
+        for bit; S is walked row by row, so temporaries hold V * |S| values."""
+        values = coeffs[:, self.owner] * self.weight
+        mag = np.abs(values)
+        seminorms = (mag / self.off_min).max(axis=1, initial=0.0)
+        for i in range(len(self.support) - 1):
+            ratios = np.abs(values[:, i + 1 :] - values[:, i, None]) / self.den[i, i + 1 :]
+            np.maximum(seminorms, ratios.max(axis=1), out=seminorms)
+        return mag.max(axis=1, initial=0.0), seminorms
 
 
 def build_support_map(
@@ -103,7 +126,7 @@ def build_support_map(
     family: SeparatedPairFamily,
     alpha: float,
 ) -> HolderEmbedding:
-    """Verify the family and build every pair bump, once.
+    """Verify the family, build every pair bump and the seminorm tables, once.
 
     The support of the n-th pair bump is exactly the open ball around
     y_n, so each point takes its profile value from the one bump whose
@@ -116,14 +139,18 @@ def build_support_map(
             f"family fails separation: {report.violations[:3]}"
         )
     members = space.balls([y for _, y in family.pairs], family.radii(space))
-    assignment: list[int | None] = [None] * len(space)
+    owner = np.full(len(space), -1)
     profile = np.zeros(len(space))
     for n, (pair, mask) in enumerate(zip(family.pairs, members)):
         profile[mask] = pair_bump(space, pair, family.K, alpha).values[mask]
-        for p in np.nonzero(mask)[0]:
-            assignment[p] = n
-    profile.setflags(write=False)
-    return HolderEmbedding(space, family, alpha, tuple(assignment), profile)
+        owner[mask] = n
+    support = np.flatnonzero(owner >= 0)
+    later = support[:, None] < np.arange(len(space))
+    powered = np.where(later, space.dist[support], space.dist[:, support].T) ** alpha
+    off_min = powered[:, owner < 0].min(axis=1, initial=np.inf)
+    return HolderEmbedding(
+        space, family, alpha, support, owner[support], profile[support], powered[:, support], off_min
+    )
 
 
 def embed_holder(a: FiniteSequence, embedding: HolderEmbedding) -> ScalarField:
@@ -136,8 +163,9 @@ def embed_holder(a: FiniteSequence, embedding: HolderEmbedding) -> ScalarField:
         raise InvalidInputError(
             f"vector length {len(a)} != family size {len(embedding.family)}"
         )
-    coeffs = [0.0 if n is None else a.entries[n] for n in embedding.assignment]
-    return ScalarField(embedding.space, np.multiply(coeffs, embedding.profile))
+    values = np.zeros(len(embedding.space))
+    values[embedding.support] = np.take(a.entries, embedding.owner) * embedding.weight
+    return ScalarField(embedding.space, values)
 
 
 @dataclass(frozen=True)
@@ -162,42 +190,47 @@ class SandwichCheck:
         }
 
 
+def _sandwich_checks(vectors, embedding, tolerances, raise_on_violation) -> list[SandwichCheck]:
+    """Certify sup(a) <= ||T(a)|| <= (2/K**alpha + 1) * sup(a) for each a.
+
+    The norms come from one ``apply_batch`` call; both inequalities are
+    checked with relative slack.  A violation raises
+    CertificateViolationError carrying the first offending vector (or is
+    returned in its check when raise_on_violation is False, so suites can
+    collect rather than abort).
+    """
+    m = len(embedding.family)
+    for a in vectors:
+        if len(a) != m:
+            raise InvalidInputError(f"vector length {len(a)} != family size {m}")
+    sups, seminorms = embedding.apply_batch(np.array([a.entries for a in vectors]).reshape(len(vectors), m))
+    bound_upper = 2.0 / embedding.family.K**embedding.alpha + 1.0
+    slack = tolerances.sandwich_rel
+    checks = []
+    for a, sup_f, seminorm in zip(vectors, sups.tolist(), seminorms.tolist()):
+        norm, sup_a = sup_f + seminorm, a.sup_value
+        lower_ok = sup_a <= norm * (1.0 + slack) + slack * max(1.0, sup_a)
+        upper_ok = norm <= bound_upper * sup_a * (1.0 + slack) + slack
+        if raise_on_violation and not (lower_ok and upper_ok):
+            side = "lower" if not lower_ok else "upper"
+            raise CertificateViolationError(
+                f"{side} embedding bound violated: sup(a)={sup_a!r}, "
+                f"norm={norm!r}, upper bound {bound_upper!r}",
+                witness=a,
+            )
+        ratio = (norm / sup_a) if sup_a > 0 else None
+        checks.append(SandwichCheck(sup_a, norm, ratio, bound_upper, lower_ok, upper_ok))
+    return checks
+
+
 def verify_sandwich(
     a: FiniteSequence,
     embedding: HolderEmbedding,
     tolerances: Tolerances = DEFAULT_TOLERANCES,
     raise_on_violation: bool = True,
 ) -> SandwichCheck:
-    """Certify sup(a) <= ||T(a)|| <= (2/K**alpha + 1) * sup(a).
-
-    Both inequalities are checked with relative slack.  A violation
-    raises CertificateViolationError carrying the offending vector
-    (or is returned in the check when raise_on_violation is False, so
-    suites can collect rather than abort).
-    """
-    alpha = embedding.alpha
-    norm = holder_norm(embed_holder(a, embedding), alpha)
-    sup_a = a.sup_value
-    bound_upper = 2.0 / embedding.family.K**alpha + 1.0
-    slack = tolerances.sandwich_rel
-    lower_ok = sup_a <= norm * (1.0 + slack) + slack * max(1.0, sup_a)
-    upper_ok = norm <= bound_upper * sup_a * (1.0 + slack) + slack
-    check = SandwichCheck(
-        vector_sup=sup_a,
-        image_holder_norm=norm,
-        ratio=(norm / sup_a) if sup_a > 0 else None,
-        bound_upper=bound_upper,
-        lower_ok=lower_ok,
-        upper_ok=upper_ok,
-    )
-    if raise_on_violation and not (lower_ok and upper_ok):
-        side = "lower" if not lower_ok else "upper"
-        raise CertificateViolationError(
-            f"{side} embedding bound violated: sup(a)={sup_a!r}, "
-            f"norm={norm!r}, upper bound {bound_upper!r}",
-            witness=a,
-        )
-    return check
+    """Certify both embedding bounds for one vector: the batch of one."""
+    return _sandwich_checks([a], embedding, tolerances, raise_on_violation)[0]
 
 
 @dataclass(frozen=True)
@@ -239,15 +272,14 @@ def distortion_report(
     if not nonzero:
         raise InvalidInputError("no nonzero vectors supplied")
     embedding = build_support_map(space, family, alpha)
-    ratios = [(verify_sandwich(a, embedding, tolerances=tolerances).ratio, a) for a in nonzero]
-    lower = min(r for r, _ in ratios)
-    upper, worst = max(ratios, key=lambda t: t[0])
+    ratios = [c.ratio for c in _sandwich_checks(nonzero, embedding, tolerances, True)]
+    worst = ratios.index(max(ratios))  # the first maximum
     return EmbeddingReport(
-        lower=lower,
-        upper=upper,
+        lower=min(ratios),
+        upper=ratios[worst],
         bound_upper=2.0 / family.K**alpha + 1.0,
         samples=len(ratios),
-        worst_vector=worst,
+        worst_vector=nonzero[worst],
     )
 
 
@@ -278,10 +310,11 @@ def embed_cb(
         raise InvalidInputError(
             f"balls overlap at point {space.labels[int(clash[0])]!r}"
         )
+    owner, cols = np.nonzero(members)
+    rows = space.dist[[space.index(c) for c in centers]]
+    tents = np.maximum(1.0 - rows[owner, cols] / np.take(radii, owner), 0.0)
     values = np.zeros(len(space))
-    for coeff, center, r, mask in zip(a.entries, centers, radii, members):
-        tent = tent_bump(space, center, r)
-        values[mask] = coeff * tent.values[mask]
+    values[cols] = np.take(a.entries, owner) * tents
     return ScalarField(space, values)
 
 

@@ -5,7 +5,10 @@ For a real function f on a finite metric space and an exponent
 
 * the sup norm is ``max |f(x)|``;
 * the Holder seminorm is ``max |f(x) - f(y)| / d(x, y)**alpha`` over
-  distinct pairs, computed by an exhaustive pair scan (no sampling);
+  distinct pairs, computed by an exhaustive pair scan (no sampling).
+  ``embed.HolderEmbedding.apply_batch`` gets the same bits for images
+  that vanish off a known support S from the pairs inside S and, per p
+  in S, |f(p)| over the least powered distance to a point off S;
 * the Holder norm is their sum.
 
 Two bump constructions live here as well: the pair bump supported on the
@@ -77,14 +80,6 @@ class ScalarField:
         sub = self.space.restrict(subset)
         idx = [self.space.index(l) for l in subset]
         return ScalarField(sub, self.values[idx])
-
-    def __add__(self, other: "ScalarField") -> "ScalarField":
-        if other.space is not self.space:
-            raise InvalidInputError("fields live on different spaces")
-        return ScalarField(self.space, self.values + other.values)
-
-    def scale(self, c: float) -> "ScalarField":
-        return ScalarField(self.space, self.values * c)
 
     def to_json(self) -> dict:
         return {"labels": list(self.space.labels), "values": self.values.tolist()}

@@ -254,6 +254,75 @@ def reference_embed_holder(a, space, family, alpha):
     return values
 
 
+def reference_embed_cb(a, space, centers, radii):
+    """The original tent sum: one full tent field per center."""
+    from wbslab.holder import tent_bump
+
+    values = np.zeros(len(space))
+    for coeff, center, r, mask in zip(a, centers, radii, space.balls(centers, radii)):
+        values[mask] = coeff * tent_bump(space, center, float(r)).values[mask]
+    return values
+
+
+# ---- reference sandwich certificate: one exhaustive scan per vector ----------
+#
+# The original verify_sandwich and distortion_report: every vector's image
+# built as a field on the whole space and its Holder norm taken by the
+# n^2/2 pair scan.  The production kernel scans only the support of the
+# images; its norms, checks, reports and errors must match these exactly.
+
+
+def reference_sandwich_norms(vectors, space, family, alpha):
+    """Sup norms and seminorms of the images, by the exhaustive scan."""
+    from wbslab.holder import ScalarField, holder_seminorm, sup_norm
+
+    images = [ScalarField(space, reference_embed_holder(a.entries, space, family, alpha)) for a in vectors]
+    return (
+        np.array([sup_norm(f) for f in images]),
+        np.array([holder_seminorm(f, alpha) for f in images]),
+    )
+
+
+def reference_distortion_report(space, family, alpha, vectors, tolerances=None):
+    """The per-vector loop: certify each nonzero vector, then summarize."""
+    from wbslab.embed import EmbeddingReport, build_support_map
+    from wbslab.errors import CertificateViolationError, InvalidInputError
+    from wbslab.holder import ScalarField, holder_norm
+    from wbslab.tolerances import DEFAULT_TOLERANCES
+
+    slack = (tolerances or DEFAULT_TOLERANCES).sandwich_rel
+    nonzero = [a for a in vectors if a.sup_value != 0]
+    if not nonzero:
+        raise InvalidInputError("no nonzero vectors supplied")
+    build_support_map(space, family, alpha)  # verifies the family first
+    bound_upper = 2.0 / family.K**alpha + 1.0
+    ratios = []
+    for a in nonzero:
+        if len(a) != len(family):
+            raise InvalidInputError(f"vector length {len(a)} != family size {len(family)}")
+        image = ScalarField(space, reference_embed_holder(a.entries, space, family, alpha))
+        norm = holder_norm(image, alpha)
+        sup_a = a.sup_value
+        lower_ok = sup_a <= norm * (1.0 + slack) + slack * max(1.0, sup_a)
+        upper_ok = norm <= bound_upper * sup_a * (1.0 + slack) + slack
+        if not (lower_ok and upper_ok):
+            side = "lower" if not lower_ok else "upper"
+            raise CertificateViolationError(
+                f"{side} embedding bound violated: sup(a)={sup_a!r}, "
+                f"norm={norm!r}, upper bound {bound_upper!r}",
+                witness=a,
+            )
+        ratios.append((norm / sup_a, a))
+    upper, worst = max(ratios, key=lambda t: t[0])
+    return EmbeddingReport(
+        lower=min(r for r, _ in ratios),
+        upper=upper,
+        bound_upper=bound_upper,
+        samples=len(ratios),
+        worst_vector=worst,
+    )
+
+
 # ---- ordinal intervals as rational point sets --------------------------------
 #
 # Ordinals below omega^3 are triples (c2, c1, c0) in lex order.  The

@@ -293,6 +293,16 @@ def test_usage_error_names_the_action(capsys):
     }
 
 
+def test_stray_arguments_name_the_action(capsys):
+    assert main(["schreier", "count", "5", "--enumeration", "alt"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {
+        "error": "InvalidInputError",
+        "message": "wbslab schreier count: unrecognized arguments: --enumeration alt",
+    }
+
+
 def test_pinned_error_messages(capsys):
     # the benchmark's golden digests cover these stderr payloads
     assert main(["classify", "cb"]) == 2
@@ -420,6 +430,21 @@ class TestHolderAndEmbed:
         )
         assert code == 0
         assert payload["isometric"]
+
+
+    @pytest.mark.parametrize("action", ["linf", "cb"])
+    def test_single_vector_actions_draw_one_vector(self, capsys, space_file, action):
+        # the first vector of random:1:COUNT is the same for every COUNT
+        args = {
+            "linf": ["embed", "linf", "--masses", "1,2,3"],
+            "cb": ["embed", "cb", str(space_file), "--centers", "p0,p2,p4", "--radii", "0.4,0.4,0.4"],
+        }[action]
+        assert main(args + ["--vector", "random:1:1"]) == 0
+        one = capsys.readouterr().out
+        start = time.perf_counter()
+        assert main(args + ["--vector", "random:1:200000"]) == 0
+        assert time.perf_counter() - start < 0.5
+        assert capsys.readouterr().out == one
 
 
 class TestClassifyCommands:

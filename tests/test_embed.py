@@ -1,10 +1,13 @@
 """Support maps, the three embeddings, and their certified norm bounds."""
 
-from unittest.mock import Mock
+import subprocess
+import sys
+from contextlib import nullcontext
+from unittest.mock import Mock, patch
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import wbslab.embed
@@ -25,10 +28,59 @@ from wbslab.errors import (
     PairSearchFailure,
 )
 from wbslab.holder import pair_bump, sup_norm
-from wbslab.metric import FiniteMetricSpace, SeparatedPairFamily, find_pair_family
+from wbslab.metric import (
+    FiniteMetricSpace,
+    PairFamilyReport,
+    SeparatedPairFamily,
+    find_pair_family,
+)
 from wbslab.samples import harmonic_with_zero, line_grid
+from wbslab.tolerances import Tolerances
 
-from oracles import reference_embed_holder
+from oracles import (
+    reference_distortion_report,
+    reference_embed_cb,
+    reference_embed_holder,
+    reference_sandwich_norms,
+)
+
+KINDS = st.sampled_from(("cloud", "skewed", "grid", "harmonic"))
+ALPHAS = st.sampled_from((0.3, 0.5, 0.7, 1.0))
+COEFFS = st.one_of(
+    st.sampled_from((0.0, -0.0, 1.0, -1.0)), st.floats(-5.0, 5.0), st.floats(-1e308, 1e308)
+)
+
+
+def _space(kind: str, n: int, seed: int) -> FiniteMetricSpace:
+    """n points: a random planar cloud, the same with its lower triangle
+    stretched by 1e-12 (symmetric only within tolerance), an evenly
+    spaced line, or {0} with 1/k."""
+    if kind in ("cloud", "skewed"):
+        cloud = FiniteMetricSpace.from_points(np.random.default_rng(seed).uniform(0.0, 10.0, size=(n, 2)))
+        if kind == "cloud":
+            return cloud
+        return FiniteMetricSpace(cloud.dist * np.where(np.tri(n, k=-1, dtype=bool), 1.0 + 1e-12, 1.0))
+    return line_grid(n) if kind == "grid" else harmonic_with_zero(n - 1)
+
+
+def _family(space: FiniteMetricSpace, K: float) -> SeparatedPairFamily:
+    try:
+        return find_pair_family(space, K, 5)
+    except PairSearchFailure as exc:
+        return exc.best
+
+
+def _vectors(data, m: int, max_size: int) -> list[FiniteSequence]:
+    entries = st.lists(COEFFS, min_size=m, max_size=m).map(lambda c: FiniteSequence(tuple(c)))
+    return data.draw(st.lists(entries, min_size=1, max_size=max_size))
+
+
+def _outcome(fn, *args, **kwargs):
+    """The result, or the type, message and witness of the error raised."""
+    try:
+        return fn(*args, **kwargs)
+    except (CertificateViolationError, InvalidInputError) as exc:
+        return type(exc), str(exc), getattr(exc, "witness", None)
 
 
 @pytest.fixture(scope="module")
@@ -42,16 +94,17 @@ class TestSupportMap:
     def test_centers_map_to_their_pair(self, harmonic_setup):
         space, family = harmonic_setup
         smap = build_support_map(space, family, 0.5)
+        owners = dict(zip(smap.support.tolist(), smap.owner.tolist()))
         for n, (x, y) in enumerate(family.pairs):
-            assert smap.assignment[space.index(y)] == n
-            assert smap.assignment[space.index(x)] is None
+            assert owners[space.index(y)] == n
+            assert space.index(x) not in owners
 
     def test_far_points_unassigned(self, harmonic_setup):
         space, family = harmonic_setup
         smap = build_support_map(space, family, 0.5)
         radii = family.radii(space)
-        for p, assigned in zip(space.labels, smap.assignment):
-            if assigned is None:
+        for i, p in enumerate(space.labels):
+            if i not in smap.support:
                 assert all(
                     space.d(p, y) >= r for (_, y), r in zip(family.pairs, radii)
                 )
@@ -238,6 +291,100 @@ class TestOperator:
             distortion_report(space, family, 1.0, [FiniteSequence((1.0,))])
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered in subtract")
+class TestBatchKernel:
+    """apply_batch and the reports built on it against the per-vector scan."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        KINDS,
+        st.integers(1, 30),
+        st.sampled_from(("found", "empty", "cover")),
+        st.sampled_from((0.25, 0.5, 1.0)),
+        ALPHAS,
+        st.integers(0, 10**6),
+        st.data(),
+    )
+    def test_apply_batch_matches_reference_bitwise(self, kind, n, shape, K, alpha, seed, data):
+        space = _space(kind, n, seed)
+        accept = nullcontext()
+        if shape == "found":
+            family = _family(space, K)
+        elif shape == "empty":
+            family = SeparatedPairFamily((), K)
+        else:
+            # every point is the center of a singleton ball (its pair partner
+            # is a nearest neighbor), so S is the whole space; the x-points
+            # then sit in other balls, which the kernel does not rely on
+            assume(n >= 2)
+            nearest = np.where(np.eye(n, dtype=bool), np.inf, space.dist).argmin(axis=1)
+            family = SeparatedPairFamily(
+                tuple((space.labels[q], label) for label, q in zip(space.labels, nearest)), K
+            )
+            accept = patch.object(
+                wbslab.embed, "verify_pair_family", lambda *_: PairFamilyReport(True, [])
+            )
+        with accept:
+            embedding = build_support_map(space, family, alpha)
+        assert (len(embedding.support) == len(space)) == (shape == "cover")
+        vectors = _vectors(data, len(family), 6)
+        coeffs = np.array([a.entries for a in vectors]).reshape(len(vectors), len(family))
+        sups, seminorms = embedding.apply_batch(coeffs)
+        ref_sups, ref_seminorms = reference_sandwich_norms(vectors, space, family, alpha)
+        assert sups.tobytes() == ref_sups.tobytes()
+        assert seminorms.tobytes() == ref_seminorms.tobytes()
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        KINDS,
+        st.integers(2, 30),
+        st.sampled_from((0.25, 0.5, 1.0)),
+        ALPHAS,
+        st.integers(0, 10**6),
+        st.one_of(st.just(None), st.floats(-1.0, 0.0)),
+        st.data(),
+    )
+    def test_report_matches_reference(self, kind, n, K, alpha, seed, slack, data):
+        # a negative slack forces violations part way through the batch
+        space = _space(kind, n, seed)
+        family = _family(space, K)
+        vectors = _vectors(data, len(family), 8)
+        # exact ties for the largest ratio: repeats and negations
+        for a in data.draw(st.lists(st.sampled_from(vectors), max_size=3)):
+            vectors += [a, FiniteSequence(tuple(-v for v in a.entries))]
+        tolerances = None if slack is None else Tolerances(sandwich_rel=slack)
+        kwargs = {} if tolerances is None else {"tolerances": tolerances}
+        expected = _outcome(reference_distortion_report, space, family, alpha, vectors, tolerances)
+        got = _outcome(distortion_report, space, family, alpha, vectors, **kwargs)
+        if isinstance(expected, tuple):
+            assert got[:2] == expected[:2] and got[2] is expected[2]
+            assert "np.float64" not in got[1]
+        else:
+            assert got == expected and got.worst_vector is expected.worst_vector
+
+    def test_single_vector_check_matches_report(self, harmonic_setup):
+        space, family = harmonic_setup
+        embedding = build_support_map(space, family, 0.5)
+        vectors = structured_vectors(len(family))
+        ratios = [verify_sandwich(a, embedding).ratio for a in vectors]
+        report = distortion_report(space, family, 0.5, vectors)
+        assert (report.lower, report.upper) == (min(ratios), max(ratios))
+
+    def test_report_imports_no_masked_arrays(self):
+        # numpy.ma is imported lazily by set routines and costs resident memory
+        code = (
+            "import sys\n"
+            "from wbslab.embed import distortion_report, embed_cb, structured_vectors\n"
+            "from wbslab.metric import find_pair_family\n"
+            "from wbslab.samples import harmonic_with_zero\n"
+            "space = harmonic_with_zero(20)\n"
+            "family = find_pair_family(space, 0.25, 5)\n"
+            "distortion_report(space, family, 0.5, structured_vectors(5))\n"
+            "assert 'numpy.ma' not in sys.modules\n"
+        )
+        subprocess.run([sys.executable, "-c", code], check=True)
+
+
 class TestEmbedCb:
     def setup_method(self):
         self.space = line_grid(10)
@@ -251,6 +398,20 @@ class TestEmbedCb:
         image = embed_cb(vec, self.space, self.centers, self.radii)
         tent = tent_bump(self.space, self.centers[2], self.radii[2])
         assert np.array_equal(image.values, tent.values)
+
+    @settings(max_examples=80, deadline=None)
+    @given(KINDS, st.integers(1, 30), st.integers(0, 10**6), st.data())
+    def test_image_matches_reference_bitwise(self, kind, n, seed, data):
+        space = _space(kind, n, seed)
+        picked = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=6, unique=True))
+        # up to half the distance to the nearest other center keeps the balls disjoint
+        gaps = space.dist[np.ix_(picked, picked)] + np.diag([np.inf] * len(picked))
+        scale = data.draw(st.floats(0.05, 1.0))
+        radii = [scale * min(g.min() / 2, 3.0) for g in gaps]
+        centers = [space.labels[i] for i in picked]
+        a = _vectors(data, len(centers), 1)[0]
+        expected = reference_embed_cb(a.entries, space, centers, radii)
+        assert embed_cb(a, space, centers, radii).values.tobytes() == expected.tobytes()
 
     def test_exact_isometry(self):
         rng = np.random.default_rng(10)
