@@ -110,8 +110,7 @@ class HolderEmbedding:
     off_min: np.ndarray
 
     def apply_batch(self, coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Sup norms and seminorms of the images of the V rows of coeffs, bit
-        for bit; S is walked row by row, so temporaries hold V * |S| values."""
+        """Sup norms and seminorms of the V rows' images; temporaries hold V * |S| values."""
         values = coeffs[:, self.owner] * self.weight
         mag = np.abs(values)
         seminorms = (mag / self.off_min).max(axis=1, initial=0.0)
@@ -148,9 +147,10 @@ def build_support_map(
     later = support[:, None] < np.arange(len(space))
     powered = np.where(later, space.dist[support], space.dist[:, support].T) ** alpha
     off_min = powered[:, owner < 0].min(axis=1, initial=np.inf)
-    return HolderEmbedding(
-        space, family, alpha, support, owner[support], profile[support], powered[:, support], off_min
-    )
+    tables = support, owner[support], profile[support], powered[:, support], off_min
+    for table in tables:
+        table.setflags(write=False)
+    return HolderEmbedding(space, family, alpha, *tables)
 
 
 def embed_holder(a: FiniteSequence, embedding: HolderEmbedding) -> ScalarField:

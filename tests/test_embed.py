@@ -313,9 +313,10 @@ class TestBatchKernel:
         elif shape == "empty":
             family = SeparatedPairFamily((), K)
         else:
-            # every point is the center of a singleton ball (its pair partner
-            # is a nearest neighbor), so S is the whole space; the x-points
-            # then sit in other balls, which the kernel does not rely on
+            # every point centers a ball reaching short of its nearest
+            # neighbor, its pair partner, so S is the whole space; the
+            # x-points then sit in other balls, which the kernel does not
+            # rely on
             assume(n >= 2)
             nearest = np.where(np.eye(n, dtype=bool), np.inf, space.dist).argmin(axis=1)
             family = SeparatedPairFamily(
