@@ -35,12 +35,12 @@ from .errors import InvalidInputError, PairSearchFailure, WbsLabError
 from .experiments import EXPERIMENT_NAMES, ExperimentConfig, run_experiment
 from .holder import ScalarField, holder_norm, holder_seminorm, pair_bump, sup_norm, tent_bump
 from .metric import (
-    FiniteMetricSpace,
     SeparatedPairFamily,
     existing_file,
     find_pair_family,
     load_json,
     load_space,
+    space_input,
     validate_metric,
     verify_pair_family,
 )
@@ -96,8 +96,10 @@ def _emit(args, payload: dict, ok: bool = True) -> int:
 
 
 def _parse_int(value) -> int:
-    """An integer of any length: unrank takes ranks of 10^5 digits."""
+    """An integer of any length (unrank takes ranks of 10^5 digits); JSON floats and bools are refused."""
     try:
+        if isinstance(value, (bool, float)):
+            raise TypeError(value)
         with unlimited_int_digits():
             return int(value)
     except (TypeError, ValueError):
@@ -181,13 +183,7 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    data = load_json(args.space)
-    if isinstance(data, dict) and "matrix" in data:
-        matrix, labels = data["matrix"], data.get("labels")
-    else:
-        space = FiniteMetricSpace.from_json(data)
-        matrix, labels = space.dist, space.labels
-    report = validate_metric(matrix, labels, tolerances=_tolerances(args))
+    report = validate_metric(*space_input(load_json(args.space)), tolerances=_tolerances(args))
     return _emit(args, report.to_json(), report.ok)
 
 
@@ -302,7 +298,10 @@ def _cmd_experiment(args) -> int:
     )
     summaries = []
     for name in list(EXPERIMENT_NAMES) if args.name == "all" else [args.name]:
-        result = run_experiment(name, config)
+        try:
+            result = run_experiment(name, config)
+        except OSError as exc:
+            raise InvalidInputError(f"cannot write --report-dir: {exc}") from None
         summaries.append(
             {
                 "experiment": name,

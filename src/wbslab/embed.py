@@ -109,6 +109,11 @@ class HolderEmbedding:
     den: np.ndarray
     off_min: np.ndarray
 
+    @property
+    def bound_upper(self) -> float:
+        """The operator norm bound: ||T(a)|| <= (2 / K**alpha + 1) * sup(a)."""
+        return 2.0 / self.family.K**self.alpha + 1.0
+
     def apply_batch(self, coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Sup norms and seminorms of the V rows' images; temporaries hold V * |S| values."""
         values = coeffs[:, self.owner] * self.weight
@@ -190,7 +195,12 @@ class SandwichCheck:
         }
 
 
-def _sandwich_checks(vectors, embedding, tolerances, raise_on_violation) -> list[SandwichCheck]:
+def verify_sandwich(
+    vectors: list[FiniteSequence],
+    embedding: HolderEmbedding,
+    tolerances: Tolerances = DEFAULT_TOLERANCES,
+    raise_on_violation: bool = True,
+) -> list[SandwichCheck]:
     """Certify sup(a) <= ||T(a)|| <= (2/K**alpha + 1) * sup(a) for each a.
 
     The norms come from one ``apply_batch`` call; both inequalities are
@@ -204,7 +214,7 @@ def _sandwich_checks(vectors, embedding, tolerances, raise_on_violation) -> list
         if len(a) != m:
             raise InvalidInputError(f"vector length {len(a)} != family size {m}")
     sups, seminorms = embedding.apply_batch(np.array([a.entries for a in vectors]).reshape(len(vectors), m))
-    bound_upper = 2.0 / embedding.family.K**embedding.alpha + 1.0
+    bound_upper = embedding.bound_upper
     slack = tolerances.sandwich_rel
     checks = []
     for a, sup_f, seminorm in zip(vectors, sups.tolist(), seminorms.tolist()):
@@ -221,16 +231,6 @@ def _sandwich_checks(vectors, embedding, tolerances, raise_on_violation) -> list
         ratio = (norm / sup_a) if sup_a > 0 else None
         checks.append(SandwichCheck(sup_a, norm, ratio, bound_upper, lower_ok, upper_ok))
     return checks
-
-
-def verify_sandwich(
-    a: FiniteSequence,
-    embedding: HolderEmbedding,
-    tolerances: Tolerances = DEFAULT_TOLERANCES,
-    raise_on_violation: bool = True,
-) -> SandwichCheck:
-    """Certify both embedding bounds for one vector: the batch of one."""
-    return _sandwich_checks([a], embedding, tolerances, raise_on_violation)[0]
 
 
 @dataclass(frozen=True)
@@ -272,12 +272,12 @@ def distortion_report(
     if not nonzero:
         raise InvalidInputError("no nonzero vectors supplied")
     embedding = build_support_map(space, family, alpha)
-    ratios = [c.ratio for c in _sandwich_checks(nonzero, embedding, tolerances, True)]
+    ratios = [c.ratio for c in verify_sandwich(nonzero, embedding, tolerances)]
     worst = ratios.index(max(ratios))  # the first maximum
     return EmbeddingReport(
         lower=min(ratios),
         upper=ratios[worst],
-        bound_upper=2.0 / family.K**alpha + 1.0,
+        bound_upper=embedding.bound_upper,
         samples=len(ratios),
         worst_vector=nonzero[worst],
     )
@@ -302,7 +302,7 @@ def embed_cb(
             f"{len(radii)} radii"
         )
     radii = [float(r) for r in radii]
-    if any(r <= 0 for r in radii):
+    if any(not r > 0 for r in radii):  # NaN included
         raise InvalidInputError("all radii must be positive")
     members = space.balls(centers, radii)
     clash = np.nonzero(members.sum(axis=0) > 1)[0]

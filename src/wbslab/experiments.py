@@ -139,16 +139,13 @@ def _sandwich_suite(config: ExperimentConfig) -> ExperimentResult:
             for _ in range(20)
         ]
         embedding = build_support_map(space, family, alpha)
-        ratio_lo, ratio_hi = np.inf, 0.0
+        nonzero = [vec for vec in vectors if vec.sup_value != 0]
+        checks = verify_sandwich(
+            nonzero, embedding, tolerances=config.tolerances, raise_on_violation=False
+        )
+        ratios = [check.ratio for check in checks]
         sandwich_ok = True
-        for vec in vectors:
-            if vec.sup_value == 0:
-                continue
-            check = verify_sandwich(
-                vec, embedding, tolerances=config.tolerances, raise_on_violation=False
-            )
-            ratio_lo = min(ratio_lo, check.ratio)
-            ratio_hi = max(ratio_hi, check.ratio)
+        for vec, check in zip(nonzero, checks):
             if not (check.lower_ok and check.upper_ok):
                 sandwich_ok = False
                 result.failures.append({"instance": name, "vector": vec.to_json(), "check": check.to_json()})
@@ -157,9 +154,9 @@ def _sandwich_suite(config: ExperimentConfig) -> ExperimentResult:
             "pairs": len(family),
             "seminorm_worst": seminorm_worst,
             "seminorm_bound": bound,
-            "ratio_lo": float(ratio_lo),
-            "ratio_hi": float(ratio_hi),
-            "ratio_bound": 2.0 / family.K**alpha + 1.0,
+            "ratio_lo": min(ratios),
+            "ratio_hi": max(ratios),
+            "ratio_bound": embedding.bound_upper,
             "ok": bumps_ok and sandwich_ok,
         }
         result.rows.append(row)

@@ -33,6 +33,7 @@ __all__ = [
     "find_pair_family",
     "load_json",
     "load_space",
+    "space_input",
 ]
 
 
@@ -73,7 +74,8 @@ def validate_metric(
 
     Returns a report listing every violated axiom with the offending
     points (capped at max_reported entries).  Non-square input, NaN or
-    infinite entries and a negative triangle_rel raise immediately.
+    infinite entries, labels that are not one distinct name per row and a
+    negative triangle_rel raise immediately.
 
     A triangle violation is d_ij - b > triangle_rel * max(b, 1) for some
     b = d_ik + d_kj (the slack spares float Euclidean clouds).  One
@@ -83,20 +85,11 @@ def validate_metric(
     the minimum does.  Only failing pairs are then rescanned per k, to
     report k-major, then row-major with i < j, up to the cap.
     """
-    arr = _float_array(dist)
+    arr, labels = _metric_input(dist, labels)
     rel = tolerances.triangle_rel
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise InvalidInputError(f"distance matrix must be square, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
-        kind = "NaN" if np.isnan(arr).any() else "infinite"
-        raise InvalidInputError(f"distance matrix contains {kind} entries")
     if not rel >= 0:
         raise InvalidInputError(f"triangle_rel must be >= 0, got {rel}")
     n = arr.shape[0]
-    if labels is None:
-        labels = default_labels(n)
-    elif len(labels) != n:
-        raise InvalidInputError(f"{len(labels)} labels for a {n}x{n} matrix")
 
     report = ValidationReport(checked_triples=n * n * n)
 
@@ -149,37 +142,72 @@ def default_labels(n: int) -> tuple[str, ...]:
     return tuple(f"p{str(i).zfill(width)}" for i in range(n))
 
 
+def _metric_input(dist, labels) -> tuple[np.ndarray, tuple[str, ...]]:
+    """A finite, square float matrix and one distinct name per row."""
+    arr = _float_array(dist)
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+        raise InvalidInputError(f"distance matrix must be square, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        kind = "NaN" if np.isnan(arr).any() else "infinite"
+        raise InvalidInputError(f"distance matrix contains {kind} entries")
+    if labels is None:
+        return arr, default_labels(arr.shape[0])
+    try:
+        labels = tuple(str(l) for l in labels)
+    except TypeError:
+        raise InvalidInputError(f"labels must be a list of names, got {labels!r}") from None
+    if len(labels) != arr.shape[0]:
+        raise InvalidInputError(f"{len(labels)} labels for {arr.shape[0]} points")
+    if len(set(labels)) != len(labels):
+        raise InvalidInputError("labels must be distinct")
+    return arr, labels
+
+
+def _point_distances(points, metric: str = "euclidean") -> np.ndarray:
+    """The distance matrix of a point cloud under the euclidean, l1 or linf metric."""
+    pts = _float_array(points)
+    if pts.ndim not in (1, 2):
+        raise InvalidInputError(
+            f"points must be numbers or coordinate lists, got shape {pts.shape}"
+        )
+    if pts.ndim == 1:
+        pts = pts[:, None]
+    diff = pts[:, None, :] - pts[None, :, :]
+    if metric == "euclidean":
+        return np.sqrt((diff**2).sum(axis=2))
+    if metric == "l1":
+        return np.abs(diff).sum(axis=2)
+    if metric == "linf":
+        return np.abs(diff).max(axis=2)
+    raise InvalidInputError(f"unknown metric {metric!r}")
+
+
+def space_input(data) -> tuple:
+    """The (matrix, labels) a space JSON object describes, unchecked."""
+    if not isinstance(data, dict):
+        raise InvalidInputError(f"space JSON must be an object, got {type(data).__name__}")
+    labels = data.get("labels")
+    if "matrix" in data:
+        return data["matrix"], labels
+    if "points" in data:
+        return _point_distances(data["points"], data.get("metric", "euclidean")), labels
+    raise InvalidInputError("space JSON needs a 'matrix' or 'points' key")
+
+
 class FiniteMetricSpace:
     """Labeled points with a validated, immutable distance matrix."""
 
-    def __init__(
-        self,
-        dist,
-        labels: Sequence[str] | None = None,
-        validate: bool = True,
-        tolerances: Tolerances = DEFAULT_TOLERANCES,
-    ):
-        arr = _float_array(dist).copy()
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise InvalidInputError(f"distance matrix must be square, got shape {arr.shape}")
-        if labels is None:
-            labels = default_labels(arr.shape[0])
-        try:
-            labels = tuple(str(l) for l in labels)
-        except TypeError:
-            raise InvalidInputError(f"labels must be a list of names, got {labels!r}") from None
-        if len(labels) != arr.shape[0]:
-            raise InvalidInputError(f"{len(labels)} labels for {arr.shape[0]} points")
-        if len(set(labels)) != len(labels):
-            raise InvalidInputError("labels must be distinct")
+    def __init__(self, dist, labels: Sequence[str] | None = None, validate: bool = True):
+        arr, labels = _metric_input(dist, labels)
         if validate:
-            report = validate_metric(arr, labels, tolerances=tolerances)
+            report = validate_metric(arr, labels)
             if not report.ok:
                 first = report.violations[0]
                 raise InvalidInputError(
                     f"not a metric: {len(report.violations)}+ violation(s), "
                     f"first: {first.kind} at {first.points} ({first.detail})"
                 )
+        arr = arr.copy()
         arr.setflags(write=False)
         self.labels = labels
         self.dist = arr
@@ -221,23 +249,7 @@ class FiniteMetricSpace:
         metric: str = "euclidean",
         labels: Sequence[str] | None = None,
     ) -> "FiniteMetricSpace":
-        pts = _float_array(points)
-        if pts.ndim not in (1, 2):
-            raise InvalidInputError(
-                f"points must be numbers or coordinate lists, got shape {pts.shape}"
-            )
-        if pts.ndim == 1:
-            pts = pts[:, None]
-        diff = pts[:, None, :] - pts[None, :, :]
-        if metric == "euclidean":
-            dist = np.sqrt((diff**2).sum(axis=2))
-        elif metric == "l1":
-            dist = np.abs(diff).sum(axis=2)
-        elif metric == "linf":
-            dist = np.abs(diff).max(axis=2)
-        else:
-            raise InvalidInputError(f"unknown metric {metric!r}")
-        return cls(dist, labels)
+        return cls(_point_distances(points, metric), labels)
 
     @classmethod
     def from_graph(
@@ -259,14 +271,7 @@ class FiniteMetricSpace:
 
     @classmethod
     def from_json(cls, data: dict) -> "FiniteMetricSpace":
-        if not isinstance(data, dict):
-            raise InvalidInputError(f"space JSON must be an object, got {type(data).__name__}")
-        labels = data.get("labels")
-        if "matrix" in data:
-            return cls(data["matrix"], labels)
-        if "points" in data:
-            return cls.from_points(data["points"], data.get("metric", "euclidean"), labels)
-        raise InvalidInputError("space JSON needs a 'matrix' or 'points' key")
+        return cls(*space_input(data))
 
     def to_json(self) -> dict:
         return {"labels": list(self.labels), "matrix": self.dist.tolist()}

@@ -132,13 +132,13 @@ class Subsequence:
     def __len__(self) -> int:
         return len(self._terms)
 
-    def term(self, j: int, max_terms: int = DEFAULT_MAX_TERMS) -> int:
+    def term(self, j: int) -> int:
         """The j-th term, 1-based, extending via the rule if present."""
         if j < 1:
             raise InvalidInputError(f"term index must be >= 1, got {j}")
-        if j > max_terms:
+        if j > DEFAULT_MAX_TERMS:
             raise InvalidInputError(
-                f"term index {j} exceeds the materialization cap {max_terms}; "
+                f"term index {j} exceeds the materialization cap {DEFAULT_MAX_TERMS}; "
                 "the rule grows too fast for this request"
             )
         if j > len(self._terms):
@@ -152,9 +152,9 @@ class Subsequence:
                 self._append(int(self._rule(len(self._terms) + 1)))
         return self._terms[j - 1]
 
-    def terms(self, n: int, max_terms: int = DEFAULT_MAX_TERMS) -> tuple[int, ...]:
+    def terms(self, n: int) -> tuple[int, ...]:
         """The first n terms as a tuple."""
-        self.term(n, max_terms=max_terms)
+        self.term(n)
         return tuple(self._terms[:n])
 
     # ---- constructors -------------------------------------------------
@@ -268,7 +268,6 @@ def certify_not_cesaro_null(
     sub: Subsequence,
     N: int,
     oracle: SequenceOracle | None = None,
-    max_terms: int = DEFAULT_MAX_TERMS,
 ) -> CesaroCertificate:
     """Build the exact Cesaro-mean certificate for the given N.
 
@@ -290,9 +289,9 @@ def certify_not_cesaro_null(
         raise InvalidInputError(f"N must be >= 1, got {N}")
     if oracle is None:
         oracle = SequenceOracle()
-    k_next = sub.term(N + 1, max_terms=max_terms)
+    k_next = sub.term(N + 1)
     need = N + k_next
-    tail = sub.terms(need, max_terms=max_terms)[N:]
+    tail = sub.terms(need)[N:]
     witness = SchreierSet(tail)
     if len(witness) != k_next or witness.minimum != k_next:
         raise CertificateViolationError(
@@ -308,7 +307,7 @@ def certify_not_cesaro_null(
             witness=witness,
         )
 
-    first = sub.terms(2 * N, max_terms=max_terms)
+    first = sub.terms(2 * N)
     hits = sum(1 for k in first if k in members)
     mean = Fraction(hits, 2 * N)
     if mean < Fraction(1, 2):

@@ -135,6 +135,27 @@ class TestMetricAndPairs:
         assert code == 1
         assert payload["violations"]
 
+    def test_validate_points_with_violations_reports(self, capsys):
+        # a repeated point is reported like a matrix violation, not raised
+        code, payload = run_cli(capsys, "metric", "validate", '{"points": [[0], [0], [1]]}')
+        assert code == 1
+        assert [v["kind"] for v in payload["violations"]] == ["positivity"]
+
+    def test_validate_checks_a_points_space_once(self, capsys, space_file, monkeypatch):
+        from wbslab import cli, metric
+
+        validate, calls = metric.validate_metric, []
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return validate(*args, **kwargs)
+
+        monkeypatch.setattr(metric, "validate_metric", spy)
+        monkeypatch.setattr(cli, "validate_metric", spy)
+        code, payload = run_cli(capsys, "metric", "validate", str(space_file))
+        assert code == 0 and payload["ok"]
+        assert len(calls) == 1
+
     def test_find_then_verify(self, capsys, space_file, tmp_path):
         fam_path = tmp_path / "family.json"
         code, payload = run_cli(
@@ -251,6 +272,13 @@ class TestMetricAndPairs:
         ["classify", "calpha", "--assume", "finite"],
         ["classify", "cb", "--ordinal", "w", "--assume", "noncompact"],
         ["classify", "calpha", "--points", "3", "--assume", "infinite"],
+        # an unwritable report dir, non-integer set elements, a NaN radius, bad labels
+        ["experiment", "run", "isometry-suite", "--report-dir", "{under_file}"],
+        ["schreier", "rank", "[1.5]"],
+        ["schreier", "rank", "[true]"],
+        ["embed", "cb", "{space}", "--centers", "p0", "--radii", "nan", "--vector", "1"],
+        ["metric", "validate", '{"matrix": [[0, 1], [1, 0]], "labels": 5}'],
+        ["metric", "validate", '{"matrix": [[0, 1], [1, 0]], "labels": ["a", "a"]}'],
     ],
 )
 def test_malformed_arguments_are_json_errors(capsys, space_file, tmp_path, argv):
@@ -258,6 +286,7 @@ def test_malformed_arguments_are_json_errors(capsys, space_file, tmp_path, argv)
         "{space}": str(space_file),
         "{missing}": str(tmp_path / "nosuch.json"),
         "{dir}": str(tmp_path),
+        "{under_file}": str(space_file / "sub"),
     }
     assert main([names.get(arg, arg) for arg in argv]) == 2
     captured = capsys.readouterr()

@@ -171,7 +171,7 @@ class TestSandwich:
     def test_zero_vector_trivial(self, harmonic_setup):
         space, family = harmonic_setup
         embedding = build_support_map(space, family, 0.5)
-        check = verify_sandwich(FiniteSequence((0.0,) * len(family)), embedding)
+        check = verify_sandwich([FiniteSequence((0.0,) * len(family))], embedding)[0]
         assert check.lower_ok and check.upper_ok and check.ratio is None
         assert check.image_holder_norm == 0.0
 
@@ -181,7 +181,7 @@ class TestSandwich:
         space, family = harmonic_setup
         embedding = build_support_map(space, family, 0.5)
         for k in range(len(family)):
-            check = verify_sandwich(FiniteSequence.unit(k, len(family)), embedding)
+            check = verify_sandwich([FiniteSequence.unit(k, len(family))], embedding)[0]
             assert check.lower_ok and check.upper_ok
             assert check.ratio >= 1.0 - 1e-9
 
@@ -193,7 +193,7 @@ class TestSandwich:
             embedding = build_support_map(space, family, alpha)
             for _ in range(50):
                 vec = FiniteSequence(tuple(rng.uniform(-3, 3, size=len(family))))
-                check = verify_sandwich(vec, embedding)
+                check = verify_sandwich([vec], embedding)[0]
                 assert check.lower_ok and check.upper_ok
                 if check.ratio is not None:
                     assert 1.0 - 1e-9 <= check.ratio <= bound + 1e-9
@@ -234,7 +234,7 @@ class TestSandwich:
         broken = Tolerances(sandwich_rel=-1.0)
         with pytest.raises(CertificateViolationError) as exc:
             verify_sandwich(
-                FiniteSequence.unit(0, len(family)),
+                [FiniteSequence.unit(0, len(family))],
                 build_support_map(space, family, 0.5),
                 tolerances=broken,
             )
@@ -367,7 +367,7 @@ class TestBatchKernel:
         space, family = harmonic_setup
         embedding = build_support_map(space, family, 0.5)
         vectors = structured_vectors(len(family))
-        ratios = [verify_sandwich(a, embedding).ratio for a in vectors]
+        ratios = [verify_sandwich([a], embedding)[0].ratio for a in vectors]
         report = distortion_report(space, family, 0.5, vectors)
         assert (report.lower, report.upper) == (min(ratios), max(ratios))
 
@@ -435,8 +435,9 @@ class TestEmbedCb:
             )
 
     def test_bad_radius(self):
-        with pytest.raises(InvalidInputError):
-            embed_cb(FiniteSequence((1.0,)), self.space, [self.space.labels[0]], [-1.0])
+        for r in (-1.0, 0.0, float("nan")):
+            with pytest.raises(InvalidInputError):
+                embed_cb(FiniteSequence((1.0,)), self.space, [self.space.labels[0]], [r])
 
 
 class TestEmbedLinf:

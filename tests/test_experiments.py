@@ -2,7 +2,13 @@
 
 import json
 
+import numpy as np
+
+from oracles import reference_sandwich_norms
+from wbslab import experiments
+from wbslab.embed import FiniteSequence, structured_vectors
 from wbslab.experiments import ExperimentConfig, run_experiment
+from wbslab.tolerances import Tolerances
 
 
 def test_all_suites_pass(tmp_path):
@@ -51,3 +57,46 @@ def test_alt_enumeration_config():
         "cesaro-suite", ExperimentConfig(seed=9, enumeration="alt")
     )
     assert result.ok
+
+
+def test_sandwich_suite_collects_every_failure():
+    # a negative slack fails both bounds for every nonzero vector; the
+    # suite lists them all, in order, instead of raising at the first
+    config = ExperimentConfig(seed=3, tolerances=Tolerances(sandwich_rel=-1.0))
+    result = run_experiment("sandwich-suite", config)
+    assert not result.ok and not any(row["ok"] for row in result.rows)
+    rng = np.random.default_rng(config.seed)
+    expected = []
+    for name, space, family, alpha in experiments._instance_battery(config):
+        vectors = structured_vectors(len(family)) + [
+            FiniteSequence(tuple(rng.uniform(-2.0, 2.0, size=len(family)))) for _ in range(20)
+        ]
+        bound_upper = 2.0 / family.K**alpha + 1.0
+        for vec in vectors:
+            if vec.sup_value == 0:
+                continue
+            sups, seminorms = reference_sandwich_norms([vec], space, family, alpha)
+            norm = float(sups[0] + seminorms[0])
+            check = {
+                "vector_sup": vec.sup_value,
+                "image_holder_norm": norm,
+                "ratio": norm / vec.sup_value,
+                "bound_upper": bound_upper,
+                "lower_ok": False,
+                "upper_ok": False,
+            }
+            expected.append({"instance": name, "vector": vec.to_json(), "check": check})
+    assert result.failures == expected
+
+
+def test_sandwich_suite_certifies_one_batch_per_instance(monkeypatch):
+    verify, calls = experiments.verify_sandwich, []
+
+    def spy(vectors, *args, **kwargs):
+        calls.append(len(vectors))
+        return verify(vectors, *args, **kwargs)
+
+    monkeypatch.setattr(experiments, "verify_sandwich", spy)
+    result = run_experiment("sandwich-suite", ExperimentConfig(seed=0))
+    assert result.ok
+    assert len(calls) == len(result.rows) == 72

@@ -157,6 +157,11 @@ class TestCertificates:
         with pytest.raises(NeedsMoreDataError):
             certify_not_cesaro_null(Subsequence.from_terms([1, 2, 3]), 2)
 
+    def test_term_cap(self):
+        # N + k_{N+1} = 1_000_001 terms would be needed, one past the cap
+        with pytest.raises(InvalidInputError, match=f"cap {weaknull.DEFAULT_MAX_TERMS}"):
+            certify_not_cesaro_null(Subsequence.identity(), 500_000)
+
     def test_lower_bound_reports_the_mean(self, oracle):
         sub = Subsequence.identity()
         assert certify_not_cesaro_null(sub, 2, oracle=oracle).mean == HALF
