@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -78,12 +78,15 @@ def validate_metric(
     negative triangle_rel raise immediately.
 
     A triangle violation is d_ij - b > triangle_rel * max(b, 1) for some
-    b = d_ik + d_kj (the slack spares float Euclidean clouds).  One
-    min-plus pass builds best_ij = min over k not in {i, j} of d_ik + d_kj
-    and tests it once.  That is exact: the float d - b never increases as
-    b grows and rel * max(b, 1) never decreases, so some k violates iff
-    the minimum does.  Only failing pairs are then rescanned per k, to
-    report k-major, then row-major with i < j, up to the cap.
+    b = d_ik + d_kj (the slack spares float Euclidean clouds).  Only
+    pairs i < j are reported, so one row at a time builds best_ij = min
+    over k not in {i, j} of d_ik + d_kj for j > i alone, and tests it
+    once.  That is exact: float min picks one of the same sums in any
+    order (up to the sign of a zero, which changes neither test side),
+    the float d - b never increases as b grows and rel * max(b, 1) never
+    decreases, so some k violates iff the minimum does.  Only failing
+    pairs are then rescanned per k, to report k-major, then row-major
+    with i < j, up to the cap.
     """
     arr, labels = _metric_input(dist, labels)
     rel = tolerances.triangle_rel
@@ -111,11 +114,13 @@ def validate_metric(
         add("positivity", (int(i), int(j)), f"d = {arr[i, j]!r} <= 0 for distinct points")
 
     best = np.full((n, n), np.inf)
-    via_k = np.empty((n, n))
-    for k in range(n):
-        np.add(arr[:, k, None], arr[k], out=via_k)
-        via_k[k] = via_k[:, k] = np.inf
-        np.minimum(best, via_k, out=best)
+    flat = np.empty(n * n)
+    for i in range(n - 1):
+        m = n - i - 1
+        via = flat[: n * m].reshape(n, m)  # via[k, j - i - 1] = d_ik + d_kj
+        np.add(arr[i, :, None], arr[:, i + 1 :], out=via)
+        via[i] = flat[(i + 1) * m : n * m : m + 1] = np.inf  # k = i and k = j
+        np.min(via, axis=0, out=best[i, i + 1 :])
     with np.errstate(invalid="ignore"):  # rel = 0 times inf where no k exists (n < 3)
         rows, cols = np.nonzero(np.triu((arr - best) > rel * np.maximum(best, 1.0), 1))
     for k in range(n):
@@ -152,10 +157,9 @@ def _metric_input(dist, labels) -> tuple[np.ndarray, tuple[str, ...]]:
         raise InvalidInputError(f"distance matrix contains {kind} entries")
     if labels is None:
         return arr, default_labels(arr.shape[0])
-    try:
-        labels = tuple(str(l) for l in labels)
-    except TypeError:
-        raise InvalidInputError(f"labels must be a list of names, got {labels!r}") from None
+    if isinstance(labels, (str, bytes, Mapping)) or not np.iterable(labels):
+        raise InvalidInputError(f"labels must be a list of names, got {labels!r}")
+    labels = tuple(str(l) for l in labels)
     if len(labels) != arr.shape[0]:
         raise InvalidInputError(f"{len(labels)} labels for {arr.shape[0]} points")
     if len(set(labels)) != len(labels):
@@ -259,12 +263,14 @@ class FiniteMetricSpace:
         dist = np.full((n, n), np.inf)
         np.fill_diagonal(dist, 0.0)
         for u, v, w in edges:
-            dist[u, v] = min(dist[u, v], float(w))
-            dist[v, u] = dist[u, v]
-        via_k = np.empty_like(dist)
-        for k in range(n):
-            np.add(dist[:, k, None], dist[k], out=via_k)
-            np.minimum(dist, via_k, out=dist)
+            if not (0 <= u < n and 0 <= v < n and np.isfinite(w := float(w))):
+                raise InvalidInputError(
+                    f"edge ({u}, {v}, {w}) needs endpoints in 0..{n - 1} and a finite weight"
+                )
+            dist[u, v] = dist[v, u] = min(dist[u, v], w)
+        for k in range(n):  # rows with d_ik = inf would gain only inf + d_kj
+            rows = np.nonzero(dist[:, k] != np.inf)[0]
+            dist[rows] = np.minimum(dist[rows], dist[rows, k, None] + dist[k])
         if np.isinf(dist).any():
             raise InvalidInputError("graph is not connected")
         return cls(dist, labels)
@@ -387,6 +393,15 @@ def verify_pair_family(
     return PairFamilyReport(ok=not violations, violations=violations)
 
 
+_PREFIX = 4096  # candidates sorted in the first round of find_pair_family
+
+
+def _conflicts(dist, xs, ys, radii, x, y, r, reach) -> np.ndarray:
+    """Candidates that conflict with (x, y, r); reach[p] = d(p, B(y, r))."""
+    shared = (xs == x) | (xs == y) | (ys == x) | (ys == y)
+    return shared | (dist[xs, y] < r) | (dist[x, ys] < radii) | (reach[ys] < radii)
+
+
 def find_pair_family(
     space: FiniteMetricSpace, K: float, target_count: int
 ) -> SeparatedPairFamily:
@@ -394,10 +409,13 @@ def find_pair_family(
 
     Candidates are all ordered pairs of distinct points, visited by
     distance ascending (small balls are the easiest to keep disjoint),
-    ties broken by the label order of the space (a stable argsort of the
-    row-major matrix).  The first live candidate is accepted, and every
-    candidate (x_c, y_c, r_c) that conflicts with the accepted (x, y, r)
-    is masked out: it shares a point, d(x_c, y) < r, d(x, y_c) < r_c, or
+    ties broken by the label order of the space: the order of a stable
+    argsort of the row-major matrix.  It is sorted lazily, _PREFIX
+    entries first, then prefixes four times longer; each round takes
+    every tie at its threshold, so the rounds concatenate to the full
+    sort.  The first live candidate is accepted, and every candidate
+    (x_c, y_c, r_c) that conflicts with the accepted (x, y, r) is masked
+    out: it shares a point, d(x_c, y) < r, d(x, y_c) < r_c, or
     its ball meets B(y, r), i.e. y_c is closer than r_c to some point of
     B(y, r).  So a candidate is accepted iff it passes against every pair
     accepted before it.  Points are used at most once, so s points give
@@ -409,19 +427,26 @@ def find_pair_family(
     if target_count < 1:
         raise InvalidInputError(f"target_count must be >= 1, got {target_count}")
     dist = space.dist
-    xs, ys = np.divmod(np.argsort(dist, axis=None, kind="stable"), len(space))
-    distinct = xs != ys
-    xs, ys = xs[distinct], ys[distinct]
-    radii = K * dist[xs, ys]
-    accepted: list[tuple[int, int]] = []
-    while len(xs) and len(accepted) < target_count:
-        x, y, r = xs[0], ys[0], radii[0]
-        accepted.append((x, y))
-        reach = dist[:, dist[y] < r].min(axis=1, initial=np.inf)
-        shared = (xs == x) | (xs == y) | (ys == x) | (ys == y)
-        alive = ~(shared | (dist[xs, y] < r) | (dist[x, ys] < radii) | (reach[ys] < radii))
-        xs, ys, radii = xs[alive], ys[alive], radii[alive]
-    family = SeparatedPairFamily(tuple((space.labels[x], space.labels[y]) for x, y in accepted), K)
+    flat = dist.ravel()
+    accepted: list[tuple] = []  # (x, y, r, reach)
+    lo, size = -np.inf, _PREFIX
+    while len(accepted) < target_count and lo < np.inf:
+        thr = np.partition(flat, size - 1)[size - 1] if size < flat.size else np.inf
+        idx = np.nonzero((flat > lo) & (flat <= thr))[0]
+        idx = idx[idx % (len(space) + 1) != 0]  # off the diagonal
+        xs, ys = np.divmod(idx[np.argsort(flat[idx], kind="stable")], len(space))
+        lo, size = thr, 4 * size
+        radii = K * dist[xs, ys]
+        for pair in accepted:
+            alive = ~_conflicts(dist, xs, ys, radii, *pair)
+            xs, ys, radii = xs[alive], ys[alive], radii[alive]
+        while len(xs) and len(accepted) < target_count:
+            x, y, r = xs[0], ys[0], radii[0]
+            accepted.append((x, y, r, dist[:, dist[y] < r].min(axis=1, initial=np.inf)))
+            alive = ~_conflicts(dist, xs, ys, radii, *accepted[-1])
+            xs, ys, radii = xs[alive], ys[alive], radii[alive]
+    labels = space.labels
+    family = SeparatedPairFamily(tuple((labels[x], labels[y]) for x, y, *_ in accepted), K)
     if len(family) < target_count:
         raise PairSearchFailure(
             f"found only {len(family)} of {target_count} requested pairs",

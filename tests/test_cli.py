@@ -279,6 +279,9 @@ class TestMetricAndPairs:
         ["embed", "cb", "{space}", "--centers", "p0", "--radii", "nan", "--vector", "1"],
         ["metric", "validate", '{"matrix": [[0, 1], [1, 0]], "labels": 5}'],
         ["metric", "validate", '{"matrix": [[0, 1], [1, 0]], "labels": ["a", "a"]}'],
+        ["metric", "validate", '{"matrix": [[0, 1], [1, 0]], "labels": "ab"}'],
+        ["pairs", "find", '{"matrix": [[0, 1], [1, 0]], "labels": "ab"}'],
+        ["metric", "validate", '{"matrix": [[0, 1], [1, 0]], "labels": {"a": 0, "b": 1}}'],
     ],
 )
 def test_malformed_arguments_are_json_errors(capsys, space_file, tmp_path, argv):

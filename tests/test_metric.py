@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from wbslab.errors import InvalidInputError, PairSearchFailure
 from wbslab.metric import (
+    _PREFIX,
     FiniteMetricSpace,
     SeparatedPairFamily,
     find_pair_family,
@@ -14,7 +15,7 @@ from wbslab.metric import (
     validate_metric,
     verify_pair_family,
 )
-from wbslab.samples import cycle_graph, harmonic_with_zero, line_grid
+from wbslab.samples import cycle_graph, harmonic_with_zero, line_grid, random_cloud
 from wbslab.tolerances import DEFAULT_TOLERANCES
 
 from oracles import (
@@ -326,6 +327,36 @@ class TestValidateMatchesReference:
         assert report.checked_triples == 60**3
 
 
+    @pytest.mark.parametrize(
+        "dist",
+        [
+            [[0.0]],
+            [[0.5]],
+            [[0.0, 1.0], [1.0, 0.0]],
+            [[0.0, 1.0], [2.0, -1.0]],
+            [[0.0, 0.0], [0.0, 0.0]],
+            [[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]],
+            [[0.0, 1.0, 2.0 + 1e-8], [1.0, 0.0, 1.0], [2.0 + 1e-8, 1.0, 0.0]],
+            [[0.0, 1.0, 5.0], [1.0, 0.0, 1.0], [0.5, 1.0, 0.0]],
+            [[1.0, 3.0, 0.0], [-2.0, 0.0, 1.0], [9.0, 1.0, 0.0]],
+        ],
+    )
+    def test_one_two_and_three_points(self, dist):
+        for cap in CAPS:
+            same_report(dist, cap)
+            same_report(dist, cap, DEFAULT_TOLERANCES.with_overrides(triangle_rel=0.0))
+
+    def test_planted_eighty_points(self):
+        rng = np.random.default_rng(80)
+        pts = rng.uniform(0.0, 10.0, size=(80, 3))
+        dist = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2))
+        for i, j in ((0, 79), (3, 41), (41, 3), (60, 61)):
+            dist[i, j] = 2.5 * dist.max()
+        for cap in CAPS:
+            report = same_report(dist, cap)
+            assert len(report.violations) == min(cap, len(report.violations)) > 0
+
+
 def l1_lattice(a: int, b: int, seed: int) -> FiniteMetricSpace:
     """Integer points of an a x b box under l1, in a shuffled label order."""
     pts = np.array([(i, j) for i in range(a) for j in range(b)], dtype=float)
@@ -391,6 +422,80 @@ class TestFindMatchesReference:
         assert got == search_outcome(reference_find_pair_family, space, K, count)
 
 
+class TestFindPastFirstPrefix:
+    """n in 70..130, so n * n > _PREFIX and the sorted prefix grows."""
+
+    @staticmethod
+    def largest(space, K):
+        # a count no space can meet exhausts every prefix
+        return len(search_outcome(find_pair_family, space, K, len(space))[1]["pairs"])
+
+    @pytest.mark.parametrize("kind", sorted(TIE_HEAVY))
+    @pytest.mark.parametrize("n", (70, 101, 130))
+    def test_tie_heavy_spaces(self, kind, n):
+        space = TIE_HEAVY[kind](n)
+        assert len(space) ** 2 > _PREFIX
+        for K in (0.25, 1.0):
+            top = self.largest(space, K)
+            for count in (1, top // 2, top, top + 1, len(space)):
+                got = search_outcome(find_pair_family, space, K, count)
+                assert got == search_outcome(reference_find_pair_family, space, K, count)
+                assert got[0] == (count <= top)
+
+    def test_clouds_succeed_past_first_prefix(self):
+        for seed, metric in enumerate(("euclidean", "linf", "l1")):
+            space = random_cloud(100 + 10 * seed, 2, seed, metric)
+            top = self.largest(space, 0.1)
+            for count in (top, top + 1):
+                got = search_outcome(find_pair_family, space, 0.1, count)
+                assert got == search_outcome(reference_find_pair_family, space, 0.1, count)
+            x, y = got[1]["pairs"][-1]
+            assert space.d(x, y) > np.partition(space.dist, _PREFIX - 1, axis=None)[_PREFIX - 1]
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.sampled_from(("euclidean", "linf", "l1")),
+        st.integers(70, 130),
+        st.sampled_from((0.1, 0.25, 0.5, 1.0)),
+        st.integers(1, 70),
+        st.integers(0, 10**6),
+    )
+    def test_random_clouds(self, metric, n, K, count, seed):
+        space = random_cloud(n, 2, seed, metric)
+        got = search_outcome(find_pair_family, space, K, count)
+        assert got == search_outcome(reference_find_pair_family, space, K, count)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(70, 130),
+        st.integers(0, 10**6),
+        st.booleans(),
+        st.sampled_from((0.1, 0.25, 0.5, 1.0)),
+        st.integers(1, 70),
+    )
+    def test_unvalidated_integer_matrices(self, n, seed, symmetric, K, count):
+        # entries 1..4 put thousands of ties at every prefix threshold
+        rng = np.random.default_rng(seed)
+        dist = rng.integers(1, 5, size=(n, n)).astype(float)
+        if symmetric:
+            dist = np.triu(dist, 1) + np.triu(dist, 1).T
+        np.fill_diagonal(dist, rng.choice((0.0, 9.0), size=n, p=(0.7, 0.3)))
+        space = FiniteMetricSpace(dist, validate=False)
+        got = search_outcome(find_pair_family, space, K, count)
+        assert got == search_outcome(reference_find_pair_family, space, K, count)
+
+
+def fresh_floyd_warshall(n, edges):
+    """All-pairs shortest paths, every row updated for every k on a fresh array."""
+    expected = np.full((n, n), np.inf)
+    np.fill_diagonal(expected, 0.0)
+    for u, v, w in edges:
+        expected[u, v] = expected[v, u] = min(expected[u, v], w)
+    for k in range(n):
+        expected = np.minimum(expected, expected[:, [k]] + expected[[k], :])
+    return expected
+
+
 class TestFromGraph:
     @settings(max_examples=40, deadline=None)
     @given(st.integers(2, 40), st.integers(0, 10**6), st.integers(0, 60))
@@ -400,10 +505,48 @@ class TestFromGraph:
         edges = [(int(order[i]), int(order[i + 1]), float(rng.uniform(0.1, 5.0))) for i in range(n - 1)]
         ends = rng.integers(0, n, size=(extra, 2))
         edges += [(int(u), int(v), float(rng.uniform(0.1, 5.0))) for u, v in ends if u != v]
-        expected = np.full((n, n), np.inf)
-        np.fill_diagonal(expected, 0.0)
-        for u, v, w in edges:
-            expected[u, v] = expected[v, u] = min(expected[u, v], w)
-        for k in range(n):
-            expected = np.minimum(expected, expected[:, [k]] + expected[[k], :])
+        expected = fresh_floyd_warshall(n, edges)
         assert FiniteMetricSpace.from_graph(n, edges).dist.tobytes() == expected.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(4, 60), st.integers(2, 5), st.integers(0, 10**6), st.booleans())
+    def test_components_joined_late(self, n, parts, seed, joined):
+        # each component is a random path; its highest-numbered point is
+        # the one that joins it to the next, so until k reaches the joints
+        # most rows cannot reach k and are skipped
+        rng = np.random.default_rng(seed)
+        part = rng.integers(0, parts, size=n)
+        edges, joints = [], []
+        for c in range(parts):
+            members = [int(p) for p in rng.permutation(np.nonzero(part == c)[0])]
+            edges += [(a, b, float(rng.uniform(0.1, 5.0))) for a, b in zip(members, members[1:])]
+            joints += [max(members)] if members else []
+        if joined:
+            edges += [(a, b, float(rng.uniform(0.1, 5.0))) for a, b in zip(joints, joints[1:])]
+        expected = fresh_floyd_warshall(n, edges)
+        if np.isinf(expected).any():
+            with pytest.raises(InvalidInputError, match="not connected"):
+                FiniteMetricSpace.from_graph(n, edges)
+        else:
+            assert FiniteMetricSpace.from_graph(n, edges).dist.tobytes() == expected.tobytes()
+
+    def test_disconnected(self):
+        edges = [(0, 1, 1.0), (2, 3, 1.0), (4, 5, 2.0), (3, 5, 1.0)]
+        assert np.isinf(fresh_floyd_warshall(6, edges)).any()
+        with pytest.raises(InvalidInputError, match="not connected"):
+            FiniteMetricSpace.from_graph(6, edges)
+        with pytest.raises(InvalidInputError, match="not connected"):
+            FiniteMetricSpace.from_graph(3, [])
+
+    @pytest.mark.parametrize(
+        "edges",
+        [
+            [(0, 1, 1.0), (1, 2, 1.0), (0, 2, float("nan"))],
+            [(0, 1, 1.0), (1, 2, 1.0), (0, 2, float("inf"))],
+            [(0, 1, 1.0), (1, -1, 1.0)],
+            [(0, 1, 1.0), (1, 3, 1.0), (1, 2, 1.0)],
+        ],
+    )
+    def test_bad_edges_rejected(self, edges):
+        with pytest.raises(InvalidInputError, match="endpoints in 0..2 and a finite weight"):
+            FiniteMetricSpace.from_graph(3, edges)
