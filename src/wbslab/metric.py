@@ -121,7 +121,7 @@ def validate_metric(
         np.add(arr[i, :, None], arr[:, i + 1 :], out=via)
         via[i] = flat[(i + 1) * m : n * m : m + 1] = np.inf  # k = i and k = j
         np.min(via, axis=0, out=best[i, i + 1 :])
-    with np.errstate(invalid="ignore"):  # rel = 0 times inf where no k exists (n < 3)
+    with np.errstate(invalid="ignore"):  # rel = 0 times inf for j <= i and where no k exists
         rows, cols = np.nonzero(np.triu((arr - best) > rel * np.maximum(best, 1.0), 1))
     for k in range(n):
         room = max_reported - len(report.violations)
@@ -263,7 +263,8 @@ class FiniteMetricSpace:
         dist = np.full((n, n), np.inf)
         np.fill_diagonal(dist, 0.0)
         for u, v, w in edges:
-            if not (0 <= u < n and 0 <= v < n and np.isfinite(w := float(w))):
+            w = float(w)
+            if not (0 <= u < n and 0 <= v < n and np.isfinite(w)):
                 raise InvalidInputError(
                     f"edge ({u}, {v}, {w}) needs endpoints in 0..{n - 1} and a finite weight"
                 )

@@ -326,7 +326,6 @@ class TestValidateMatchesReference:
         assert len(report.violations) == 50
         assert report.checked_triples == 60**3
 
-
     @pytest.mark.parametrize(
         "dist",
         [
@@ -354,7 +353,7 @@ class TestValidateMatchesReference:
             dist[i, j] = 2.5 * dist.max()
         for cap in CAPS:
             report = same_report(dist, cap)
-            assert len(report.violations) == min(cap, len(report.violations)) > 0
+            assert 0 < len(report.violations) <= cap
 
 
 def l1_lattice(a: int, b: int, seed: int) -> FiniteMetricSpace:
