@@ -9,6 +9,10 @@ handler reads and requires those it cannot run without.  Everything
 prints JSON to stdout; ``--out`` additionally writes it to a file.  Exit
 status is 0 iff every internal assertion held; every error, usage errors
 included, is a JSON object on stderr with exit status 2.
+
+Each handler imports the modules it calls, so the exact actions
+(``schreier``, ``cesaro``, ``classify``) and every usage error run
+without loading numpy.
 """
 
 from __future__ import annotations
@@ -20,30 +24,8 @@ import sys
 from collections.abc import Iterator
 from pathlib import Path
 
-import numpy as np
-
-from .classify import (
-    FiniteMeasurePartition,
-    classify_calpha,
-    classify_cb,
-    classify_c_of_ordinal,
-    classify_linf,
-    parse_ordinal,
-)
-from .embed import FiniteSequence, distortion_report, embed_cb, embed_linf, structured_vectors
 from .errors import InvalidInputError, PairSearchFailure, WbsLabError
-from .experiments import EXPERIMENT_NAMES, ExperimentConfig, run_experiment
-from .holder import ScalarField, holder_norm, holder_seminorm, pair_bump, sup_norm, tent_bump
-from .metric import (
-    SeparatedPairFamily,
-    existing_file,
-    find_pair_family,
-    load_json,
-    load_space,
-    space_input,
-    validate_metric,
-    verify_pair_family,
-)
+from .inputs import EXPERIMENT_NAMES, existing_file, load_json
 from .schreier import (
     ENUMERATION_NAMES,
     SchreierSet,
@@ -51,8 +33,6 @@ from .schreier import (
     get_enumeration,
     unlimited_int_digits,
 )
-from .tolerances import DEFAULT_TOLERANCES, Tolerances
-from .weaknull import SequenceOracle, Subsequence, certify_not_cesaro_null
 
 
 class _Parser(argparse.ArgumentParser):
@@ -78,7 +58,9 @@ def _tolerance_override(text: str) -> tuple[str, float]:
         raise argparse.ArgumentTypeError(f"expected NAME=NUMBER, got {text!r}") from None
 
 
-def _tolerances(args) -> Tolerances:
+def _tolerances(args):
+    from .tolerances import DEFAULT_TOLERANCES
+
     return DEFAULT_TOLERANCES.with_overrides(**dict(args.tolerance))
 
 
@@ -129,8 +111,12 @@ def _parse_set(text: str) -> SchreierSet:
     return SchreierSet.from_iterable(_parse_int(v) for v in values)
 
 
-def _parse_vectors(text: str, length: int, seed: int) -> Iterator[FiniteSequence]:
+def _parse_vectors(text: str, length: int, seed: int) -> Iterator:
     """A vector spec: 'random:SEED[:COUNT]', a file, or comma floats; drawn as consumed."""
+    import numpy as np
+
+    from .embed import FiniteSequence
+
     if text.startswith("random:"):
         parts = text.split(":")[1:]
         vec_seed = _parse_int(parts[0]) if parts and parts[0] else seed
@@ -171,6 +157,8 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_certify(args) -> int:
+    from .weaknull import SequenceOracle, Subsequence, certify_not_cesaro_null
+
     path = existing_file(args.subsequence)
     if path:
         sub = Subsequence.from_terms(json.loads(path.read_text()))
@@ -183,11 +171,15 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_validate(args) -> int:
+    from .metric import space_input, validate_metric
+
     report = validate_metric(*space_input(load_json(args.space)), tolerances=_tolerances(args))
     return _emit(args, report.to_json(), report.ok)
 
 
 def _cmd_pairs_find(args) -> int:
+    from .metric import find_pair_family, load_space
+
     space = load_space(args.space)
     try:
         family, ok, target = find_pair_family(space, args.K, args.count), True, args.count
@@ -199,6 +191,8 @@ def _cmd_pairs_find(args) -> int:
 
 
 def _cmd_pairs_verify(args) -> int:
+    from .metric import SeparatedPairFamily, load_space, verify_pair_family
+
     space = load_space(args.space)
     family = SeparatedPairFamily.from_json(load_json(args.family))
     report = verify_pair_family(space, family)
@@ -206,6 +200,9 @@ def _cmd_pairs_verify(args) -> int:
 
 
 def _cmd_seminorm(args) -> int:
+    from .holder import ScalarField, holder_norm, holder_seminorm, sup_norm
+    from .metric import load_space
+
     space = load_space(args.space)
     values = load_json(args.field)
     if isinstance(values, dict):
@@ -218,6 +215,9 @@ def _cmd_seminorm(args) -> int:
 
 
 def _cmd_bump(args) -> int:
+    from .holder import pair_bump, tent_bump
+    from .metric import load_space
+
     space = load_space(args.space)
     if args.kind == "pair":
         if args.pair is None:
@@ -233,6 +233,9 @@ def _cmd_bump(args) -> int:
 
 
 def _cmd_embed_holder(args) -> int:
+    from .embed import distortion_report, structured_vectors
+    from .metric import SeparatedPairFamily, load_space
+
     space = load_space(args.space)
     family = SeparatedPairFamily.from_json(load_json(args.family))
     vectors = structured_vectors(len(family)) + list(_parse_vectors(args.vector, len(family), args.seed))
@@ -243,6 +246,10 @@ def _cmd_embed_holder(args) -> int:
 
 
 def _cmd_embed_cb(args) -> int:
+    from .embed import embed_cb
+    from .holder import sup_norm
+    from .metric import load_space
+
     space = load_space(args.space)
     centers = [c.strip() for c in args.centers.split(",")]
     radii = list(_parse_floats(args.radii.split(",")))
@@ -255,6 +262,8 @@ def _cmd_embed_cb(args) -> int:
 
 
 def _cmd_embed_linf(args) -> int:
+    from .embed import embed_linf
+
     masses = list(_parse_floats(args.masses.split(",")))
     vec = next(_parse_vectors(args.vector, len(masses), args.seed))
     step = embed_linf(vec, masses)
@@ -265,6 +274,8 @@ def _cmd_embed_linf(args) -> int:
 
 
 def _cmd_classify_calpha(args) -> int:
+    from .classify import classify_calpha
+
     if args.assume is None and args.points is None:
         raise WbsLabError("classify calpha needs --points N or --assume infinite")
     verdict = classify_calpha(math.inf if args.assume == "infinite" else args.points)
@@ -272,6 +283,8 @@ def _cmd_classify_calpha(args) -> int:
 
 
 def _cmd_classify_cb(args) -> int:
+    from .classify import classify_cb, parse_ordinal
+
     if args.assume == "noncompact":
         verdict = classify_cb(assume="noncompact")
     elif args.ordinal is None:
@@ -282,16 +295,22 @@ def _cmd_classify_cb(args) -> int:
 
 
 def _cmd_classify_linf(args) -> int:
+    from .classify import FiniteMeasurePartition, classify_linf
+
     masses = _parse_floats(args.masses.split(","))
     verdict = classify_linf(FiniteMeasurePartition(masses, is_terminal=not args.more_sets))
     return _emit(args, verdict.to_json())
 
 
 def _cmd_classify_ordinal(args) -> int:
+    from .classify import classify_c_of_ordinal, parse_ordinal
+
     return _emit(args, classify_c_of_ordinal(parse_ordinal(args.expr)).to_json())
 
 
 def _cmd_experiment(args) -> int:
+    from .experiments import ExperimentConfig, run_experiment
+
     config = ExperimentConfig(
         seed=args.seed, enumeration=args.enumeration, tolerances=_tolerances(args),
         out_dir=args.report_dir,

@@ -21,6 +21,7 @@ import numpy as np
 from .embed import FiniteSequence, build_support_map, structured_vectors, verify_sandwich
 from .errors import PairSearchFailure, WbsLabError
 from .holder import holder_seminorm, pair_bump, sup_norm
+from .inputs import EXPERIMENT_NAMES
 from .metric import find_pair_family
 from .samples import bundled_spaces
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
@@ -197,13 +198,7 @@ def _isometry_suite(config: ExperimentConfig) -> ExperimentResult:
     return result
 
 
-_SUITES = {
-    "cesaro-suite": _cesaro_suite,
-    "sandwich-suite": _sandwich_suite,
-    "isometry-suite": _isometry_suite,
-}
-
-EXPERIMENT_NAMES = tuple(_SUITES)
+_SUITES = dict(zip(EXPERIMENT_NAMES, (_cesaro_suite, _sandwich_suite, _isometry_suite)))
 
 
 def run_experiment(name: str, config: ExperimentConfig) -> ExperimentResult:

@@ -12,14 +12,15 @@ balls exactly.
 
 from __future__ import annotations
 
-import json
+import math
 from dataclasses import dataclass, field
-from pathlib import Path
+from numbers import Integral, Real
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .errors import InvalidInputError, PairSearchFailure
+from .inputs import existing_file, load_json  # noqa: F401  (re-exported)
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
 __all__ = [
@@ -123,6 +124,8 @@ def validate_metric(
         np.min(via, axis=0, out=best[i, i + 1 :])
     with np.errstate(invalid="ignore"):  # rel = 0 times inf for j <= i and where no k exists
         rows, cols = np.nonzero(np.triu((arr - best) > rel * np.maximum(best, 1.0), 1))
+    if len(rows) == 0:
+        return report
     for k in range(n):
         room = max_reported - len(report.violations)
         if room <= 0:
@@ -133,6 +136,11 @@ def validate_metric(
             detail = f"d = {arr[i, j]!r} > {arr[i, k]!r} + {arr[k, j]!r}"
             add("triangle", (int(i), k, int(j)), detail)
     return report
+
+
+def _is_point(u, n: int) -> bool:
+    """An index 0..n-1 given as a Python or numpy integer (a bool is not one)."""
+    return isinstance(u, Integral) and not isinstance(u, bool) and 0 <= u < n
 
 
 def _float_array(data) -> np.ndarray:
@@ -263,12 +271,11 @@ class FiniteMetricSpace:
         dist = np.full((n, n), np.inf)
         np.fill_diagonal(dist, 0.0)
         for u, v, w in edges:
-            w = float(w)
-            if not (0 <= u < n and 0 <= v < n and np.isfinite(w)):
+            if not (_is_point(u, n) and _is_point(v, n) and isinstance(w, Real) and math.isfinite(w)):
                 raise InvalidInputError(
-                    f"edge ({u}, {v}, {w}) needs endpoints in 0..{n - 1} and a finite weight"
+                    f"edge ({u!r}, {v!r}, {w!r}) needs endpoints in 0..{n - 1} and a finite weight"
                 )
-            dist[u, v] = dist[v, u] = min(dist[u, v], w)
+            dist[u, v] = dist[v, u] = min(dist[u, v], float(w))
         for k in range(n):  # rows with d_ik = inf would gain only inf + d_kj
             rows = np.nonzero(dist[:, k] != np.inf)[0]
             dist[rows] = np.minimum(dist[rows], dist[rows, k, None] + dist[k])
@@ -291,20 +298,6 @@ def load_space(source) -> FiniteMetricSpace:
     if isinstance(source, dict):
         return FiniteMetricSpace.from_json(source)
     return FiniteMetricSpace.from_json(load_json(source))
-
-
-def load_json(source):
-    """Parse the file source names if it exists, else source as JSON text."""
-    path = existing_file(source)
-    return json.loads(path.read_text() if path else str(source))
-
-
-def existing_file(source) -> Path | None:
-    """The path source names if it is a regular file, else None (inline text)."""
-    try:
-        return Path(source) if Path(source).is_file() else None
-    except OSError:  # ENAMETOOLONG: inline JSON or a number list, not a path
-        return None
 
 
 @dataclass(frozen=True)

@@ -142,7 +142,7 @@ class TestMetricAndPairs:
         assert [v["kind"] for v in payload["violations"]] == ["positivity"]
 
     def test_validate_checks_a_points_space_once(self, capsys, space_file, monkeypatch):
-        from wbslab import cli, metric
+        from wbslab import metric
 
         validate, calls = metric.validate_metric, []
 
@@ -151,7 +151,6 @@ class TestMetricAndPairs:
             return validate(*args, **kwargs)
 
         monkeypatch.setattr(metric, "validate_metric", spy)
-        monkeypatch.setattr(cli, "validate_metric", spy)
         code, payload = run_cli(capsys, "metric", "validate", str(space_file))
         assert code == 0 and payload["ok"]
         assert len(calls) == 1

@@ -349,6 +349,7 @@ class TestValidateMatchesReference:
         rng = np.random.default_rng(80)
         pts = rng.uniform(0.0, 10.0, size=(80, 3))
         dist = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2))
+        assert same_report(dist, 50).ok  # no pair fails the min test: the rescan is skipped
         for i, j in ((0, 79), (3, 41), (41, 3), (60, 61)):
             dist[i, j] = 2.5 * dist.max()
         for cap in CAPS:
@@ -537,6 +538,13 @@ class TestFromGraph:
         with pytest.raises(InvalidInputError, match="not connected"):
             FiniteMetricSpace.from_graph(3, [])
 
+    def test_integer_endpoints_of_any_kind(self):
+        edges = [(0, 1, 1.0), (1, 2, 2)]
+        numpy_edges = [(np.int64(0), np.int32(1), np.float32(1.0)), (np.uint8(1), np.int64(2), np.int64(2))]
+        expected = FiniteMetricSpace.from_graph(3, edges).dist
+        assert FiniteMetricSpace.from_graph(3, numpy_edges).dist.tobytes() == expected.tobytes()
+        assert expected.tolist() == [[0.0, 1.0, 3.0], [1.0, 0.0, 2.0], [3.0, 2.0, 0.0]]
+
     @pytest.mark.parametrize(
         "edges",
         [
@@ -544,6 +552,12 @@ class TestFromGraph:
             [(0, 1, 1.0), (1, 2, 1.0), (0, 2, float("inf"))],
             [(0, 1, 1.0), (1, -1, 1.0)],
             [(0, 1, 1.0), (1, 3, 1.0), (1, 2, 1.0)],
+            [(0, 1.0, 1.0), (1, 2, 1.0)],
+            [(0, 1.5, 1.0), (1, 2, 1.0)],
+            [(0, True, 1.0), (1, 2, 1.0)],
+            [(0, "1", 1.0), (1, 2, 1.0)],
+            [(0, 1, "x"), (1, 2, 1.0)],
+            [(0, 1, None), (1, 2, 1.0)],
         ],
     )
     def test_bad_edges_rejected(self, edges):
