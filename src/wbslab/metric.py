@@ -271,11 +271,15 @@ class FiniteMetricSpace:
         dist = np.full((n, n), np.inf)
         np.fill_diagonal(dist, 0.0)
         for u, v, w in edges:
-            if not (_is_point(u, n) and _is_point(v, n) and isinstance(w, Real) and math.isfinite(w)):
+            try:  # an int or Fraction past the float range overflows
+                weight = float(w) if isinstance(w, Real) else math.nan
+            except OverflowError:
+                weight = math.inf
+            if not (_is_point(u, n) and _is_point(v, n) and math.isfinite(weight)):
                 raise InvalidInputError(
                     f"edge ({u!r}, {v!r}, {w!r}) needs endpoints in 0..{n - 1} and a finite weight"
                 )
-            dist[u, v] = dist[v, u] = min(dist[u, v], float(w))
+            dist[u, v] = dist[v, u] = min(dist[u, v], weight)
         for k in range(n):  # rows with d_ik = inf would gain only inf + d_kj
             rows = np.nonzero(dist[:, k] != np.inf)[0]
             dist[rows] = np.minimum(dist[rows], dist[rows, k, None] + dist[k])

@@ -10,6 +10,8 @@ limit points by nearest-neighbor shrinkage under deepening truncations.
 from __future__ import annotations
 
 import bisect
+import sys
+from collections import OrderedDict
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, groupby
@@ -48,9 +50,11 @@ def brute_force_schreier_alt(max_value: int) -> list[tuple[int, ...]]:
 
 @lru_cache(maxsize=4096)
 def _reference_count(n: int) -> int:
-    from wbslab.schreier import _fib_pair
-
-    return _fib_pair(n)[0]
+    """F(n) by the recurrence itself, one addition per grade."""
+    a, b = 0, 1
+    for _ in range(n):
+        a, b = b, a + b
+    return a
 
 
 def reference_grade_of_rank(rank: int) -> int:
@@ -127,6 +131,38 @@ def reference_unrank(rank: int, enumeration: str = "canonical") -> tuple[int, ..
     if enumeration == "alt":
         within = _reference_grade_size(n) - 1 - within
     return _reference_unrank_in_grade(n, within)
+
+
+class ReferenceCountCache:
+    """The count cache's bookkeeping, every pair computed from nothing.
+
+    A hit moves the grade to the recent end; a miss keeps F(n + 1), then
+    F(n), and evicts the least recent counts until the sizes fit.
+    """
+
+    def __init__(self, maxbytes: int):
+        self.maxbytes = maxbytes
+        self.entries: OrderedDict[int, int] = OrderedDict()
+        self.hits = self.misses = self.nbytes = 0
+
+    def __call__(self, n: int) -> int:
+        if n in self.entries:
+            self.hits += 1
+            self.entries.move_to_end(n)
+            return self.entries[n]
+        self.misses += 1
+        for grade in (n + 1, n):
+            if grade in self.entries:
+                self.nbytes -= sys.getsizeof(self.entries.pop(grade))
+            self.entries[grade] = _reference_count(grade)
+            self.nbytes += sys.getsizeof(self.entries[grade])
+            while self.nbytes > self.maxbytes:
+                self.nbytes -= sys.getsizeof(self.entries.popitem(last=False)[1])
+        return _reference_count(n)
+
+    def info(self) -> tuple[int, int, int, int]:
+        """(hits, misses, currsize, nbytes), as in the cache's cache_info()."""
+        return self.hits, self.misses, len(self.entries), self.nbytes
 
 
 # ---- separated pair families by triple loops ---------------------------------

@@ -1,5 +1,7 @@
 """Metric validation, pair families, and the greedy finder."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -541,8 +543,10 @@ class TestFromGraph:
     def test_integer_endpoints_of_any_kind(self):
         edges = [(0, 1, 1.0), (1, 2, 2)]
         numpy_edges = [(np.int64(0), np.int32(1), np.float32(1.0)), (np.uint8(1), np.int64(2), np.int64(2))]
+        fraction_edges = [(0, 1, Fraction(1)), (1, 2, Fraction(4, 2))]
         expected = FiniteMetricSpace.from_graph(3, edges).dist
-        assert FiniteMetricSpace.from_graph(3, numpy_edges).dist.tobytes() == expected.tobytes()
+        for other in (numpy_edges, fraction_edges):
+            assert FiniteMetricSpace.from_graph(3, other).dist.tobytes() == expected.tobytes()
         assert expected.tolist() == [[0.0, 1.0, 3.0], [1.0, 0.0, 2.0], [3.0, 2.0, 0.0]]
 
     @pytest.mark.parametrize(
@@ -558,6 +562,8 @@ class TestFromGraph:
             [(0, "1", 1.0), (1, 2, 1.0)],
             [(0, 1, "x"), (1, 2, 1.0)],
             [(0, 1, None), (1, 2, 1.0)],
+            [(0, 1, 10**400), (1, 2, 1.0)],
+            [(0, 1, Fraction(10**400, 3)), (1, 2, 1.0)],
         ],
     )
     def test_bad_edges_rejected(self, edges):

@@ -1,6 +1,7 @@
 """Enumeration of maximal Schreier sets against exhaustive generation."""
 
 import random
+import sys
 from math import comb
 
 import pytest
@@ -19,6 +20,8 @@ from wbslab.schreier import (
 )
 
 from oracles import (
+    ReferenceCountCache,
+    _reference_count,
     brute_force_schreier,
     brute_force_schreier_alt,
     reference_grade_of_rank,
@@ -291,3 +294,78 @@ class TestCountCache:
         assert (info["hits"], info["misses"], info["currsize"]) == (2, 1, 2)
         count_max_at_most.cache_clear()
         assert count_max_at_most.cache_info().currsize == 0
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_request_sequences_match_the_recurrence_and_the_bookkeeping(self, data):
+        # Budgets from below one count (values returned but not kept) to
+        # no eviction; a small one evicts F(n + 1) before F(n), leaving
+        # half pairs that must not serve as a source.
+        maxbytes = data.draw(st.sampled_from([400, 1500, 6000, 1 << 20]))
+        cache = schreier._FibonacciCache(maxbytes)
+        reference = ReferenceCountCache(maxbytes)
+        ratio = schreier._NEAR_PAIR_RATIO
+        for _ in range(data.draw(st.integers(min_value=1, max_value=30))):
+            keys = list(cache._entries)
+            if keys and data.draw(st.booleans()):
+                q = data.draw(st.sampled_from(keys))
+                # a whole pair at q is in reach of n = q + k iff
+                # k <= q // (ratio - 1) above it or -k <= q // (ratio + 1) below
+                up, down = q // (ratio - 1), q // (ratio + 1)
+                edges = [0, 1, -1, 2, -2, up, up + 1, -down, -down - 1]
+                k = data.draw(st.sampled_from(edges) | st.integers(-down - 1, up + 1))
+                n = max(1, q + k)
+            else:
+                n = data.draw(st.integers(min_value=1, max_value=6000))
+            assert cache(n) == reference(n) == _reference_count(n)
+            info = cache.cache_info()
+            assert (info.hits, info.misses, info.currsize) == reference.info()[:3]
+            assert info.nbytes == reference.nbytes <= maxbytes
+
+    def test_a_miss_is_derived_only_from_a_whole_nearby_pair(self, monkeypatch):
+        sources = []
+
+        def spy(n, p, fp, fp1):
+            sources.append(p)
+            return derive(n, p, fp, fp1)
+
+        derive = schreier._fib_pair_from
+        monkeypatch.setattr(schreier, "_fib_pair_from", spy)
+        cache = schreier._FibonacciCache(
+            sum(sys.getsizeof(_reference_count(n)) for n in (1000, 3000, 3001))
+        )
+        cache(1000)  # keeps 1001, then 1000
+        cache(3000)  # keeps 3001 and 3000, evicting 1001
+        assert list(cache._entries) == [1000, 3001, 3000] and sources == []
+        assert cache(1020) == _reference_count(1020)  # 1000 is half a pair
+        assert sources == []
+        # 16 |n - p| <= n holds with equality at n = 1600, and fails one grade further out
+        cases = [(1500, 1600, True), (1500, 1601, False), (1700, 1600, True), (1700, 1599, False)]
+        for p, n, derived in cases:
+            cache = schreier._FibonacciCache(1 << 20)
+            cache(p)
+            sources.clear()
+            assert cache(n) == _reference_count(n)
+            assert sources == ([p] if derived else [])
+
+    @pytest.mark.parametrize("n", [4 * 10**5, 10**6])
+    @pytest.mark.parametrize("offset", [None, -3000, 3000], ids=["scratch", "pair_below", "pair_above"])
+    def test_cassini_identity_at_large_grades(self, monkeypatch, n, offset):
+        # F(n - 1) F(n + 1) - F(n)**2 = (-1)**n
+        if offset is None:
+            low, mid = schreier._fib_pair(n - 1)
+            again, high = schreier._fib_pair(n)
+        else:
+            derive, calls = schreier._fib_pair_from, []
+            monkeypatch.setattr(
+                schreier, "_fib_pair_from", lambda *args: calls.append(args[1]) or derive(*args)
+            )
+            cache = schreier._FibonacciCache(1 << 20)
+            cache(n + offset)
+            low, mid = cache(n - 1), cache(n)
+            again, high = mid, cache(n + 1)
+            # n - 1 from the pair 3000 grades away, n + 1 from the pair at n - 1
+            assert calls == [n + offset, n - 1]
+            assert cache.cache_info()[:2] == (1, 3)
+        assert mid == again
+        assert low * high - mid * mid == (-1) ** n
