@@ -9,8 +9,12 @@ Three constructions, one per target:
   ``distortion_report`` and ``verify_sandwich`` certify both on batches
   of concrete inputs, with norms from ``HolderEmbedding.apply_batch``,
   whose docstring gives why its support-restricted seminorm is exact.
+  The images of the unit vectors are the pair bumps themselves, so a
+  batch of the identity matrix gives every bump's norms.
 * ``embed_cb`` sends coefficients onto disjoint tent bumps; the sup norm
-  of the image reproduces the coefficient sup exactly.
+  of the image reproduces the coefficient sup exactly.  ``tent_images``
+  builds the tents once and sends a whole batch; ``embed_cb`` is its
+  batch of one.
 * ``embed_linf`` sends coefficients onto the indicators of a positive-
   mass partition; the essential sup is again exact.
 
@@ -46,6 +50,7 @@ __all__ = [
     "distortion_report",
     "structured_vectors",
     "embed_cb",
+    "tent_images",
     "embed_linf",
 ]
 
@@ -283,24 +288,23 @@ def distortion_report(
     )
 
 
-def embed_cb(
-    a: FiniteSequence,
+def tent_images(
+    vectors: list[FiniteSequence],
     space: FiniteMetricSpace,
     centers: list[str],
     radii: list[float],
-) -> ScalarField:
-    """Sum of coefficient-scaled tents over pairwise disjoint balls.
+) -> np.ndarray:
+    """V x n values: row v is the sum of vectors[v]-scaled tents over disjoint balls.
 
-    Exactly isometric: each center carries its own coefficient with tent
-    value exactly 1, every other point value is a product with a factor
-    in [0, 1), so the sup norm of the image equals the coefficient sup
-    bit for bit.
+    The balls, their owners and the tent values are built once; every
+    row is then one gather of its coefficients times the tents.
     """
-    if len(a) != len(centers) or len(centers) != len(radii):
-        raise InvalidInputError(
-            f"lengths disagree: {len(a)} coefficients, {len(centers)} centers, "
-            f"{len(radii)} radii"
-        )
+    for m in [len(a) for a in vectors] or [len(centers)]:
+        if m != len(centers) or len(centers) != len(radii):
+            raise InvalidInputError(
+                f"lengths disagree: {m} coefficients, {len(centers)} centers, "
+                f"{len(radii)} radii"
+            )
     radii = [float(r) for r in radii]
     if any(not r > 0 for r in radii):  # NaN included
         raise InvalidInputError("all radii must be positive")
@@ -313,9 +317,26 @@ def embed_cb(
     owner, cols = np.nonzero(members)
     rows = space.dist[[space.index(c) for c in centers]]
     tents = np.maximum(1.0 - rows[owner, cols] / np.take(radii, owner), 0.0)
-    values = np.zeros(len(space))
-    values[cols] = np.take(a.entries, owner) * tents
-    return ScalarField(space, values)
+    coeffs = np.array([a.entries for a in vectors]).reshape(len(vectors), len(centers))
+    values = np.zeros((len(vectors), len(space)))
+    values[:, cols] = coeffs[:, owner] * tents
+    return values
+
+
+def embed_cb(
+    a: FiniteSequence,
+    space: FiniteMetricSpace,
+    centers: list[str],
+    radii: list[float],
+) -> ScalarField:
+    """Sum of coefficient-scaled tents over pairwise disjoint balls.
+
+    Exactly isometric: each center carries its own coefficient with tent
+    value exactly 1, every other point value is a product with a factor
+    in [0, 1), so the sup norm of the image equals the coefficient sup
+    bit for bit.  The batch of one of ``tent_images``.
+    """
+    return ScalarField(space, tent_images([a], space, centers, radii)[0])
 
 
 @dataclass(frozen=True)

@@ -144,7 +144,7 @@ def tent_bump(space: FiniteMetricSpace, center: str, epsilon: float) -> ScalarFi
     makes the clamp exact at the boundary, so no masking is needed.
     """
     epsilon = float(epsilon)
-    if epsilon <= 0:
+    if not epsilon > 0:  # NaN included
         raise InvalidInputError(f"radius must be positive, got {epsilon}")
     d = space.dist[space.index(center)]
     return ScalarField(space, np.maximum(1.0 - d / epsilon, 0.0))

@@ -359,6 +359,20 @@ def reference_distortion_report(space, family, alpha, vectors, tolerances=None):
     )
 
 
+def reference_bump_worst(space, family, alpha):
+    """The original sandwich-suite loop: the largest seminorm and sup norm
+    over the family's pair bumps, each bump a fresh field and its seminorm
+    the exhaustive pair scan."""
+    from wbslab.holder import holder_seminorm, pair_bump, sup_norm
+
+    seminorm_worst = sup_worst = 0.0
+    for pair in family.pairs:
+        bump = pair_bump(space, pair, family.K, alpha)
+        seminorm_worst = max(seminorm_worst, holder_seminorm(bump, alpha))
+        sup_worst = max(sup_worst, sup_norm(bump))
+    return seminorm_worst, sup_worst
+
+
 # ---- ordinal intervals as rational point sets --------------------------------
 #
 # Ordinals below omega^3 are triples (c2, c1, c0) in lex order.  The

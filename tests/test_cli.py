@@ -419,6 +419,16 @@ class TestHolderAndEmbed:
         assert code == 0
         assert payload["support"] == ["p1"]
 
+    def test_tent_bump_rejects_a_nan_radius(self, capsys, space_file):
+        argv = ["holder", "bump", str(space_file), "--kind", "tent", "--center", "p0", "--epsilon", "nan"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {
+            "error": "InvalidInputError",
+            "message": "radius must be positive, got nan",
+        }
+
     def test_embed_holder_report(self, capsys, space_file, tmp_path):
         fam_path = tmp_path / "family.json"
         run_cli(

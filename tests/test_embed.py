@@ -19,6 +19,7 @@ from wbslab.embed import (
     embed_holder,
     embed_linf,
     structured_vectors,
+    tent_images,
     verify_sandwich,
 )
 from wbslab.errors import (
@@ -410,9 +411,13 @@ class TestEmbedCb:
         scale = data.draw(st.floats(0.05, 1.0))
         radii = [scale * min(g.min() / 2, 3.0) for g in gaps]
         centers = [space.labels[i] for i in picked]
-        a = _vectors(data, len(centers), 1)[0]
-        expected = reference_embed_cb(a.entries, space, centers, radii)
-        assert embed_cb(a, space, centers, radii).values.tobytes() == expected.tobytes()
+        vectors = _vectors(data, len(centers), 8)
+        images = tent_images(vectors, space, centers, radii)
+        assert images.shape == (len(vectors), n)
+        for a, row in zip(vectors, images):
+            expected = reference_embed_cb(a.entries, space, centers, radii)
+            assert row.tobytes() == expected.tobytes()
+            assert embed_cb(a, space, centers, radii).values.tobytes() == expected.tobytes()
 
     def test_exact_isometry(self):
         rng = np.random.default_rng(10)
@@ -438,6 +443,30 @@ class TestEmbedCb:
         for r in (-1.0, 0.0, float("nan")):
             with pytest.raises(InvalidInputError):
                 embed_cb(FiniteSequence((1.0,)), self.space, [self.space.labels[0]], [r])
+
+    @pytest.mark.parametrize(
+        "entries, count, radii",
+        [
+            ((1.0, 1.0, 1.0), 2, [0.45] * 2),  # a vector longer than the centers
+            ((1.0, 1.0), 2, [0.45] * 3),  # more radii than centers
+            ((1.0, 1.0), 2, [0.45, float("nan")]),
+            ((1.0, 1.0), 2, [0.45, -1.0]),
+            ((1.0, 1.0), 2, [2.0, 2.0]),  # overlapping balls
+        ],
+    )
+    def test_batch_errors_are_those_of_embed_cb(self, entries, count, radii):
+        bad, good = FiniteSequence(entries), FiniteSequence((0.5,) * count)
+        centers = list(self.space.labels[:count])
+        expected = _outcome(embed_cb, bad, self.space, centers, radii)
+        assert expected[0] is InvalidInputError
+        for batch in ([bad], [good, bad]):
+            assert _outcome(tent_images, batch, self.space, centers, radii) == expected
+
+    def test_empty_batch(self):
+        images = tent_images([], self.space, self.centers, self.radii)
+        assert images.shape == (0, len(self.space))
+        with pytest.raises(InvalidInputError, match="5 coefficients, 5 centers, 4 radii"):
+            tent_images([], self.space, self.centers, self.radii[:4])
 
 
 class TestEmbedLinf:

@@ -4,10 +4,10 @@ import json
 
 import numpy as np
 
-from oracles import reference_sandwich_norms
-from wbslab import experiments
+from oracles import reference_bump_worst, reference_sandwich_norms
+from wbslab import embed, experiments
 from wbslab.embed import FiniteSequence, structured_vectors
-from wbslab.experiments import ExperimentConfig, run_experiment
+from wbslab.experiments import EXPERIMENT_NAMES, ExperimentConfig, run_experiment
 from wbslab.tolerances import Tolerances
 
 
@@ -31,19 +31,15 @@ def test_cesaro_suite_shape():
 
 def test_reports_reproducible_modulo_timestamp(tmp_path):
     dir_a, dir_b = tmp_path / "a", tmp_path / "b"
-    for directory in (dir_a, dir_b):
-        run_experiment(
-            "sandwich-suite", ExperimentConfig(seed=123, out_dir=directory)
-        )
-    for name in ("sandwich-suite.json",):
-        a = json.loads((dir_a / name).read_text())
-        b = json.loads((dir_b / name).read_text())
+    for name in EXPERIMENT_NAMES:
+        for directory in (dir_a, dir_b):
+            run_experiment(name, ExperimentConfig(seed=123, out_dir=directory))
+        a = json.loads((dir_a / f"{name}.json").read_text())
+        b = json.loads((dir_b / f"{name}.json").read_text())
         a.pop("meta")
         b.pop("meta")
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
-    assert (dir_a / "sandwich-suite.csv").read_bytes() == (
-        dir_b / "sandwich-suite.csv"
-    ).read_bytes()
+        assert (dir_a / f"{name}.csv").read_bytes() == (dir_b / f"{name}.csv").read_bytes()
 
 
 def test_different_seeds_differ():
@@ -100,3 +96,43 @@ def test_sandwich_suite_certifies_one_batch_per_instance(monkeypatch):
     result = run_experiment("sandwich-suite", ExperimentConfig(seed=0))
     assert result.ok
     assert len(calls) == len(result.rows) == 72
+
+
+def test_sandwich_suite_bump_norms_match_the_per_pair_loop():
+    # a float_slack of -2 fails every bump check, so every instance lists
+    # its sup_worst; the battery and every other number are unchanged
+    tolerances = Tolerances(float_slack=-2.0)
+    instances = 0
+    for seed in range(6):
+        config = ExperimentConfig(seed=seed, tolerances=tolerances)
+        result = run_experiment("sandwich-suite", config)
+        bump_failures = [f for f in result.failures if "sup_worst" in f]
+        battery = experiments._instance_battery(config)
+        assert len(result.rows) == len(bump_failures) == len(battery)
+        for row, failure, (name, space, family, alpha) in zip(result.rows, bump_failures, battery):
+            seminorm_worst, sup_worst = reference_bump_worst(space, family, alpha)
+            assert row["instance"] == name and not row["ok"]
+            assert failure == {
+                "instance": name,
+                "seminorm_worst": seminorm_worst,
+                "sup_worst": sup_worst,
+                "bound": row["seminorm_bound"],
+            }
+            # bit for bit, signed zeros included
+            assert row["seminorm_worst"].hex() == seminorm_worst.hex()
+            assert failure["sup_worst"].hex() == sup_worst.hex()
+        instances += len(battery)
+    assert instances == 432
+
+
+def test_isometry_suite_makes_one_tent_batch(monkeypatch):
+    batch, calls = embed.tent_images, []
+
+    def spy(vectors, *args, **kwargs):
+        calls.append(len(vectors))
+        return batch(vectors, *args, **kwargs)
+
+    monkeypatch.setattr(embed, "tent_images", spy)
+    result = run_experiment("isometry-suite", ExperimentConfig(seed=0))
+    assert result.ok and result.rows[0]["exact_cb"] == 1000
+    assert calls == [1000]

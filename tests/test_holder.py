@@ -180,8 +180,9 @@ class TestTentBump:
 
     def test_bad_radius(self):
         space = line_grid(2)
-        with pytest.raises(InvalidInputError):
-            tent_bump(space, space.labels[0], 0.0)
+        for epsilon in (0.0, -1.0, float("nan")):
+            with pytest.raises(InvalidInputError, match="radius must be positive"):
+                tent_bump(space, space.labels[0], epsilon)
 
 
 class TestClampsAreOneLipschitz:
