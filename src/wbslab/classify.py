@@ -34,6 +34,7 @@ from dataclasses import dataclass
 from functools import total_ordering
 
 from .errors import InvalidInputError
+from .inputs import from_decimal, to_decimal
 
 __all__ = [
     "Ordinal",
@@ -71,7 +72,7 @@ class Ordinal:
             if not isinstance(e, Ordinal):
                 raise InvalidInputError(f"exponent must be an Ordinal, got {type(e)}")
             if c < 1:
-                raise InvalidInputError(f"coefficients must be positive, got {c}")
+                raise InvalidInputError(f"coefficients must be positive, got {to_decimal(c)}")
         for (e1, _), (e2, _) in zip(terms, terms[1:]):
             if not e2 < e1:
                 raise InvalidInputError(
@@ -88,7 +89,7 @@ class Ordinal:
     def from_int(cls, n: int) -> "Ordinal":
         n = int(n)
         if n < 0:
-            raise InvalidInputError(f"ordinal from a negative integer: {n}")
+            raise InvalidInputError(f"ordinal from a negative integer: {to_decimal(n)}")
         if n == 0:
             return cls.zero()
         return cls(((cls.zero(), n),))
@@ -124,23 +125,23 @@ class Ordinal:
         parts = []
         for e, c in self.terms:
             if e.is_zero:
-                parts.append(str(c))
+                parts.append(to_decimal(c))
                 continue
             if e == Ordinal.from_int(1):
                 base = "w"
             elif e.is_finite:
-                base = f"w^{e.as_int()}"
+                base = f"w^{to_decimal(e.as_int())}"
             else:
                 inner = str(e)
                 base = f"w^{inner}" if re.fullmatch(r"w|\d+", inner) else f"w^({inner})"
-            parts.append(base if c == 1 else f"{base}*{c}")
+            parts.append(base if c == 1 else f"{base}*{to_decimal(c)}")
         return " + ".join(parts)
 
     def to_json(self) -> str:
         return str(self)
 
 
-_TOKEN = re.compile(r"\s*(w|\d+|[\^*+()])")
+_TOKEN = re.compile(r"\s*(w|[0-9]+|[\^*+()])")
 
 
 def _tokenize(text: str) -> list[str]:
@@ -208,7 +209,7 @@ def parse_ordinal(text: str) -> Ordinal:
             raise InvalidInputError(f"unexpected end of input in {text!r}")
         if tok.isdigit():
             pos += 1
-            return Ordinal.from_int(int(tok))
+            return Ordinal.from_int(from_decimal(tok))
         expect("w")
         exponent = Ordinal.from_int(1)
         if peek() == "^":
@@ -223,7 +224,7 @@ def parse_ordinal(text: str) -> Ordinal:
                 exponent = Ordinal.omega()
             elif tok is not None and tok.isdigit():
                 pos += 1
-                exponent = Ordinal.from_int(int(tok))
+                exponent = Ordinal.from_int(from_decimal(tok))
             else:
                 raise InvalidInputError(f"bad exponent at token {pos} in {text!r}")
         coeff = 1
@@ -233,7 +234,7 @@ def parse_ordinal(text: str) -> Ordinal:
             if tok is None or not tok.isdigit():
                 raise InvalidInputError(f"bad coefficient at token {pos} in {text!r}")
             pos += 1
-            coeff = int(tok)
+            coeff = from_decimal(tok)
         return Ordinal(((exponent, coeff),))
 
     result = parse_expr()
@@ -262,16 +263,15 @@ def derived_set(o: Ordinal) -> Ordinal:
 def cb_rank(o: Ordinal) -> int | float:
     """Least number of derivations that empty the interval (0, o].
 
-    Returns INFINITE_RANK when any exponent is omega or beyond: such a
+    Each derivation lowers every finite exponent by one and drops the
+    finite part, so the leading exponent e empties the interval after
+    e + 1 of them.  Returns INFINITE_RANK when e is omega or beyond: that
     term survives every derivation.
     """
-    if any(not e.is_finite for e, _ in o.terms):
-        return INFINITE_RANK
-    rank = 0
-    while not o.is_zero:
-        o = derived_set(o)
-        rank += 1
-    return rank
+    if o.is_zero:
+        return 0
+    lead = o.terms[0][0]
+    return lead.as_int() + 1 if lead.is_finite else INFINITE_RANK
 
 
 @dataclass(frozen=True)
@@ -322,7 +322,7 @@ def classify_c_of_ordinal(o: Ordinal) -> Verdict:
         wbs = False
     else:
         reason = (
-            f"iterated derived sets vanish after {rank} step(s); finite "
+            f"iterated derived sets vanish after {to_decimal(rank)} step(s); finite "
             "Cantor-Bendixson rank makes the space weakly Banach-Saks"
         )
         wbs = True

@@ -25,14 +25,8 @@ from collections.abc import Iterator
 from pathlib import Path
 
 from .errors import InvalidInputError, PairSearchFailure, WbsLabError
-from .inputs import EXPERIMENT_NAMES, existing_file, load_json
-from .schreier import (
-    ENUMERATION_NAMES,
-    SchreierSet,
-    count_max_at_most,
-    get_enumeration,
-    unlimited_int_digits,
-)
+from .inputs import EXPERIMENT_NAMES, existing_file, from_decimal, load_json, to_decimal
+from .schreier import ENUMERATION_NAMES, SchreierSet, count_max_at_most, get_enumeration
 
 
 class _Parser(argparse.ArgumentParser):
@@ -78,21 +72,22 @@ def _emit(args, payload: dict, ok: bool = True) -> int:
 
 
 def _parse_int(value) -> int:
-    """An integer of any length (unrank takes ranks of 10^5 digits); JSON floats and bools are refused."""
+    """A decimal text or JSON integer of any length (unrank takes ranks of 10^5 digits)."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if not isinstance(value, str):
+        raise InvalidInputError(f"expected a decimal integer, got JSON {type(value).__name__}")
     try:
-        if isinstance(value, (bool, float)):
-            raise TypeError(value)
-        with unlimited_int_digits():
-            return int(value)
-    except (TypeError, ValueError):
-        raise InvalidInputError(f"expected a decimal integer, got {str(value)[:40]!r}") from None
+        return from_decimal(value)
+    except ValueError:
+        raise InvalidInputError(f"expected a decimal integer, got {value[:40]!r}") from None
 
 
 def _parse_floats(values) -> tuple[float, ...]:
     try:
         return tuple(float(v) for v in values)
-    except (TypeError, ValueError):
-        raise InvalidInputError(f"expected a list of numbers, got {str(values)[:60]!r}") from None
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidInputError(f"expected a list of numbers: {exc}") from None
 
 
 def _label_pair(text: str) -> tuple[str, str]:
@@ -105,7 +100,7 @@ def _label_pair(text: str) -> tuple[str, str]:
 def _parse_set(text: str) -> SchreierSet:
     text = text.strip()
     if text.startswith("["):
-        values = json.loads(text)
+        values = json.loads(text, parse_int=from_decimal)
     else:
         values = [p for p in text.split(",") if p.strip()]
     return SchreierSet.from_iterable(_parse_int(v) for v in values)
@@ -128,7 +123,7 @@ def _parse_vectors(text: str, length: int, seed: int) -> Iterator:
             yield FiniteSequence(tuple(rng.uniform(-2.0, 2.0, size=length)))
         return
     path = existing_file(text)
-    values = json.loads(path.read_text()) if path else text.split(",")
+    values = load_json(path) if path else text.split(",")
     yield FiniteSequence(_parse_floats(values))
 
 
@@ -144,15 +139,13 @@ def _cmd_unrank(args) -> int:
 def _cmd_rank(args) -> int:
     enum = get_enumeration(args.enumeration)
     s = _parse_set(args.set)
-    with unlimited_int_digits():
-        rank = str(enum.rank_of(s))
+    rank = to_decimal(enum.rank_of(s))
     return _emit(args, {"set": s.to_json(), "rank": rank, "enumeration": enum.name})
 
 
 def _cmd_count(args) -> int:
     n = _parse_int(args.n)
-    with unlimited_int_digits():
-        count = str(count_max_at_most(n))
+    count = to_decimal(count_max_at_most(n))
     return _emit(args, {"n": n, "count_max_at_most": count})
 
 
@@ -161,7 +154,7 @@ def _cmd_certify(args) -> int:
 
     path = existing_file(args.subsequence)
     if path:
-        sub = Subsequence.from_terms(json.loads(path.read_text()))
+        sub = Subsequence.from_terms(load_json(path))
     else:
         sub = Subsequence.parse(args.subsequence)
     cert = certify_not_cesaro_null(sub, args.N, oracle=SequenceOracle(args.enumeration))

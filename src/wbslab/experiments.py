@@ -87,11 +87,12 @@ def _cesaro_suite(config: ExperimentConfig) -> ExperimentResult:
     for sub in subs:
         for N in CESARO_N_VALUES:
             cert = certify_not_cesaro_null(sub, N, oracle=oracle)
+            payload = cert.to_json()
             row = {
                 "rule": sub.description,
                 "N": N,
-                "mean": f"{cert.mean.numerator}/{cert.mean.denominator}",
-                "i0": str(cert.witness_coordinate),
+                "mean": payload["mean"],
+                "i0": payload["i0"],
                 "witness_max": cert.witness_set.maximum,
                 "prefix_len": cert.prefix_len,
                 "ok": cert.mean >= half,
@@ -99,7 +100,7 @@ def _cesaro_suite(config: ExperimentConfig) -> ExperimentResult:
             result.rows.append(row)
             if not row["ok"]:
                 result.ok = False
-                result.failures.append({"rule": sub.description, "N": N, "certificate": cert.to_json()})
+                result.failures.append({"rule": sub.description, "N": N, "certificate": payload})
     return result
 
 

@@ -2,24 +2,78 @@
 
 The CLI builds its parser from these names before it knows which action
 runs, so they live apart from the array modules that only some actions
-load.
+load.  Every big integer crosses text here, through `to_decimal` and
+`from_decimal`, whatever CPython's int/str digit limit is set to.
 """
 
 from __future__ import annotations
 
 import json
+from functools import cache
 from pathlib import Path
 
-__all__ = ["EXPERIMENT_NAMES", "existing_file", "load_json"]
+__all__ = ["EXPERIMENT_NAMES", "existing_file", "from_decimal", "load_json", "to_decimal"]
 
 # The suites ``experiments.run_experiment`` runs, in run order.
 EXPERIMENT_NAMES = ("cesaro-suite", "sandwich-suite", "isometry-suite")
 
+# CPython checks no int/str conversion under 640 digits, whatever its
+# limit is set to; 2048 bits print as at most 617 digits.
+_LEAF_BITS = 2048
+_LEAF_DIGITS = 600
+
+
+def to_decimal(n: int) -> str:
+    """str(n) at any length, in subquadratic time where str is quadratic.
+
+    Past _LEAF_BITS bits, the halves of n join as exact Decimals,
+    lo + hi * 2**k, which libmpdec multiplies in subquadratic time.
+    """
+    if n.bit_length() <= _LEAF_BITS:
+        return str(n)
+    import decimal
+    ctx = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, traps=[decimal.Inexact])
+    power = cache(lambda k: ctx.power(2, k))  # one per width in each level
+
+    def join(m, width):
+        if width <= _LEAF_BITS:
+            return decimal.Decimal(m)
+        k = width >> 1
+        return ctx.fma(join(m >> k, width - k), power(k), join(m & ((1 << k) - 1), k))
+
+    return ("-" if n < 0 else "") + str(join(abs(n), n.bit_length()))
+
+
+def from_decimal(text: str) -> int:
+    """int(text) at any length, in subquadratic time.
+
+    Texts past _LEAF_DIGITS characters must be ASCII digits after an
+    optional sign; their halves join as hi * 10**k = hi * 5**k << k.
+    """
+    if len(text) <= _LEAF_DIGITS:
+        return int(text)
+    digits = text[1:] if text[0] in "+-" else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"a decimal integer of {len(text)} characters must be ASCII digits")
+    power = cache(lambda k: 5**k)  # one per width in each level
+
+    def join(a, b):
+        if b - a <= _LEAF_DIGITS:
+            return int(digits[a:b])
+        k = (b - a) >> 1
+        return (join(a, b - k) * power(k) << k) + join(b - k, b)
+
+    n = join(0, len(digits))
+    return -n if text[0] == "-" else n
+
 
 def load_json(source):
-    """Parse the file source names if it exists, else source as JSON text."""
+    """Parse the file source names if it exists, else source as JSON text.
+
+    Integer literals of any length are read through from_decimal.
+    """
     path = existing_file(source)
-    return json.loads(path.read_text() if path else str(source))
+    return json.loads(path.read_text() if path else str(source), parse_int=from_decimal)
 
 
 def existing_file(source) -> Path | None:

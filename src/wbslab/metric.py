@@ -146,7 +146,7 @@ def _is_point(u, n: int) -> bool:
 def _float_array(data) -> np.ndarray:
     try:
         return np.asarray(data, dtype=float)
-    except (TypeError, ValueError) as exc:  # non-numeric or ragged JSON
+    except (TypeError, ValueError, OverflowError) as exc:  # non-numeric, ragged or too large
         raise InvalidInputError(f"expected an array of numbers: {exc}") from None
 
 
@@ -331,7 +331,7 @@ class SeparatedPairFamily:
     def from_json(cls, data: dict) -> "SeparatedPairFamily":
         try:
             pairs, K = tuple((p[0], p[1]) for p in data["pairs"]), float(data["K"])
-        except (KeyError, IndexError, TypeError, ValueError):
+        except (KeyError, IndexError, TypeError, ValueError, OverflowError):
             raise InvalidInputError('family JSON needs "K" and "pairs": [[x, y], ...]') from None
         return cls(pairs, K)
 
@@ -357,24 +357,18 @@ def verify_pair_family(
     """
     violations: list[dict] = []
     pairs = family.pairs
+    ends = np.array([(space.index(x), space.index(y)) for x, y in pairs], dtype=int).reshape(-1, 2)
     for n, (x, y) in enumerate(pairs):
-        space.index(x), space.index(y)
         if x == y:
             violations.append({"condition": "distinct", "pair": n, "detail": f"{x} == {y}"})
 
     radii = family.radii(space)
-    for n, (x_n, y_n) in enumerate(pairs):
-        for m, (x_m, _) in enumerate(pairs):
-            d = space.d(x_m, y_n)
-            if d < radii[n]:
-                violations.append(
-                    {
-                        "condition": "separation",
-                        "pair": n,
-                        "other": m,
-                        "detail": f"d({x_m}, {y_n}) = {d!r} < {radii[n]!r}",
-                    }
-                )
+    # close[n, m] iff d(x_m, y_n) < r_n; nonzero walks it n-major, m-minor
+    close = space.dist[np.ix_(ends[:, 0], ends[:, 1])].T < np.reshape(radii, (-1, 1))
+    for n, m in zip(*np.nonzero(close)):
+        x_m, y_n, d = pairs[m][0], pairs[n][1], float(space.dist[ends[m, 0], ends[n, 1]])
+        detail = f"d({x_m}, {y_n}) = {d!r} < {radii[n]!r}"
+        violations.append({"condition": "separation", "pair": int(n), "other": int(m), "detail": detail})
 
     membership = space.balls([y for _, y in pairs], radii)
     counts = membership.sum(axis=0)

@@ -19,13 +19,13 @@ from __future__ import annotations
 import math
 import sys
 from collections import OrderedDict, namedtuple
-from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import takewhile
 from math import comb
 from typing import Iterable, Iterator
 
 from .errors import InvalidInputError
+from .inputs import to_decimal
 
 __all__ = [
     "SchreierSet",
@@ -35,7 +35,6 @@ __all__ = [
     "ReversedGradeEnumeration",
     "get_enumeration",
     "ENUMERATION_NAMES",
-    "unlimited_int_digits",
 ]
 
 
@@ -51,12 +50,12 @@ class SchreierSet:
         if not elems:
             raise InvalidInputError("a maximal Schreier set is nonempty")
         if any(e < 1 for e in elems):
-            raise InvalidInputError(f"elements must be positive integers: {elems}")
+            raise InvalidInputError(f"elements must be positive integers: {_listed(elems)}")
         if any(a >= b for a, b in zip(elems, elems[1:])):
-            raise InvalidInputError(f"elements must be strictly increasing: {elems}")
+            raise InvalidInputError(f"elements must be strictly increasing: {_listed(elems)}")
         if len(elems) != elems[0]:
             raise InvalidInputError(
-                f"cardinality {len(elems)} != minimum {elems[0]}: not maximal Schreier"
+                f"cardinality {len(elems)} != minimum {to_decimal(elems[0])}: not maximal Schreier"
             )
 
     @classmethod
@@ -88,6 +87,12 @@ class SchreierSet:
         return list(self.elements)
 
 
+def _listed(values: tuple[int, ...] | list[int]) -> str:
+    """repr(values), with integers of any length."""
+    text = ", ".join(map(to_decimal, values))
+    return f"[{text}]" if isinstance(values, list) else f"({text}{',' * (len(values) == 1)})"
+
+
 def is_maximal_schreier(candidate: Iterable[int]) -> bool:
     """True iff the candidate is nonempty and its size equals its minimum.
 
@@ -96,29 +101,10 @@ def is_maximal_schreier(candidate: Iterable[int]) -> bool:
     """
     values = sorted(set(int(v) for v in candidate))
     if any(v < 1 for v in values):
-        raise InvalidInputError(f"elements must be positive integers: {values}")
+        raise InvalidInputError(f"elements must be positive integers: {_listed(values)}")
     if not values:
         return False
     return len(values) == values[0]
-
-
-@contextmanager
-def unlimited_int_digits() -> Iterator[None]:
-    """Lift CPython's limit on int/str conversions inside the block.
-
-    Ranks grow like phi**max, so a set whose maximum passes about 20500
-    has a rank of more than 4300 digits, the default limit.  The previous
-    limit is restored on exit.
-    """
-    if not hasattr(sys, "set_int_max_str_digits"):  # Pythons without the limit
-        yield
-        return
-    previous = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        yield
-    finally:
-        sys.set_int_max_str_digits(previous)
 
 
 def _fib_pair(n: int) -> tuple[int, int]:
@@ -250,7 +236,7 @@ def count_max_at_most(n: int) -> int:
     """
     n = int(n)
     if n < 1:
-        raise InvalidInputError(f"n must be >= 1, got {n}")
+        raise InvalidInputError(f"n must be >= 1, got {to_decimal(n)}")
     if n > _MAX_GRADE:
         raise InvalidInputError(f"n exceeds the largest supported grade, {_MAX_GRADE}")
     return _COUNTS(n)
@@ -461,7 +447,7 @@ class CanonicalEnumeration:
         """The rank-th maximal Schreier set (1-based)."""
         rank = int(rank)
         if rank < 1:
-            raise InvalidInputError(f"rank must be >= 1, got {rank}")
+            raise InvalidInputError(f"rank must be >= 1, got {to_decimal(rank)}")
         n = _grade_of_rank(rank)
         within = rank - 1 if n == 1 else rank - count_max_at_most(n - 1) - 1
         return self._unrank_in_grade(n, within)

@@ -33,12 +33,8 @@ from .errors import (
     InvalidInputError,
     NeedsMoreDataError,
 )
-from .schreier import (
-    CanonicalEnumeration,
-    SchreierSet,
-    get_enumeration,
-    unlimited_int_digits,
-)
+from .inputs import from_decimal, to_decimal
+from .schreier import CanonicalEnumeration, SchreierSet, get_enumeration
 
 __all__ = [
     "SequenceOracle",
@@ -75,7 +71,7 @@ class SequenceOracle:
 
     def coordinate_set(self, i: int) -> frozenset[int]:
         if i < 1:
-            raise InvalidInputError(f"coordinate must be >= 1, got {i}")
+            raise InvalidInputError(f"coordinate must be >= 1, got {to_decimal(i)}")
         cached = self._sets.get(i)
         if cached is not None:
             self._sets.move_to_end(i)
@@ -89,7 +85,7 @@ class SequenceOracle:
     def entry(self, k: int, i: int) -> int:
         """1 iff k belongs to the i-th set of the enumeration."""
         if k < 1:
-            raise InvalidInputError(f"index must be >= 1, got {k}")
+            raise InvalidInputError(f"index must be >= 1, got {to_decimal(k)}")
         return 1 if k in self.coordinate_set(i) else 0
 
     def coordinatewise_null_check(self, i: int) -> int:
@@ -122,11 +118,10 @@ class Subsequence:
 
     def _append(self, value: int) -> None:
         if value < 1:
-            raise InvalidInputError(f"terms must be positive, got {value}")
+            raise InvalidInputError(f"terms must be positive, got {to_decimal(value)}")
         if self._terms and value <= self._terms[-1]:
-            raise InvalidInputError(
-                f"terms must be strictly increasing: {self._terms[-1]} then {value}"
-            )
+            shown = f"{to_decimal(self._terms[-1])} then {to_decimal(value)}"
+            raise InvalidInputError(f"terms must be strictly increasing: {shown}")
         self._terms.append(value)
 
     def __len__(self) -> int:
@@ -135,10 +130,10 @@ class Subsequence:
     def term(self, j: int) -> int:
         """The j-th term, 1-based, extending via the rule if present."""
         if j < 1:
-            raise InvalidInputError(f"term index must be >= 1, got {j}")
+            raise InvalidInputError(f"term index must be >= 1, got {to_decimal(j)}")
         if j > DEFAULT_MAX_TERMS:
             raise InvalidInputError(
-                f"term index {j} exceeds the materialization cap {DEFAULT_MAX_TERMS}; "
+                f"term index {to_decimal(j)} exceeds the materialization cap {DEFAULT_MAX_TERMS}; "
                 "the rule grows too fast for this request"
             )
         if j > len(self._terms):
@@ -170,20 +165,18 @@ class Subsequence:
     @classmethod
     def affine(cls, step: int, offset: int = 0) -> "Subsequence":
         step, offset = int(step), int(offset)
+        s, o = to_decimal(step), to_decimal(offset)
         if step < 1 or offset < 0:
-            raise InvalidInputError(
-                f"affine rule needs step >= 1 and offset >= 0, got {step}, {offset}"
-            )
-        return cls(rule=lambda j: step * j + offset, description=f"affine:{step},{offset}")
+            raise InvalidInputError(f"affine rule needs step >= 1 and offset >= 0, got {s}, {o}")
+        return cls(rule=lambda j: step * j + offset, description=f"affine:{s},{o}")
 
     @classmethod
     def geometric(cls, base: int = 1, ratio: int = 2) -> "Subsequence":
         base, ratio = int(base), int(ratio)
+        b, r = to_decimal(base), to_decimal(ratio)
         if base < 1 or ratio < 2:
-            raise InvalidInputError(
-                f"geometric rule needs base >= 1 and ratio >= 2, got {base}, {ratio}"
-            )
-        return cls(rule=lambda j: base * ratio ** (j - 1), description=f"geometric:{base},{ratio}")
+            raise InvalidInputError(f"geometric rule needs base >= 1 and ratio >= 2, got {b}, {r}")
+        return cls(rule=lambda j: base * ratio ** (j - 1), description=f"geometric:{b},{r}")
 
     @classmethod
     def seeded_increments(cls, seed: int, max_step: int = 3) -> "Subsequence":
@@ -191,7 +184,7 @@ class Subsequence:
         import random
 
         if max_step < 1:
-            raise InvalidInputError(f"max_step must be >= 1, got {max_step}")
+            raise InvalidInputError(f"max_step must be >= 1, got {to_decimal(max_step)}")
         rng = random.Random(int(seed))
         state = {"last": 0}
 
@@ -199,7 +192,7 @@ class Subsequence:
             state["last"] += rng.randint(1, max_step)
             return state["last"]
 
-        return cls(rule=rule, description=f"random:{seed},{max_step}")
+        return cls(rule=rule, description=f"random:{to_decimal(seed)},{to_decimal(max_step)}")
 
     @classmethod
     def parse(cls, text: str) -> "Subsequence":
@@ -218,14 +211,14 @@ class Subsequence:
         ):
             if text.startswith(name + ":"):
                 try:
-                    args = [int(p) for p in text[len(name) + 1 :].split(",") if p.strip()]
+                    args = [from_decimal(p) for p in text[len(name) + 1 :].split(",") if p.strip()]
                 except ValueError:
                     args = []
                 if not 1 <= len(args) <= arity:
                     raise InvalidInputError(f"bad rule arguments in {text!r}")
                 return maker(*args)
         try:
-            values = [int(p) for p in text.split(",") if p.strip()]
+            values = [from_decimal(p) for p in text.split(",") if p.strip()]
         except ValueError:
             raise InvalidInputError(f"unrecognized subsequence spec {text!r}") from None
         if not values:
@@ -252,12 +245,10 @@ class CesaroCertificate:
     enumeration: str
 
     def to_json(self) -> dict:
-        with unlimited_int_digits():
-            i0 = str(self.witness_coordinate)
         return {
             "N": self.N,
             "A_N": self.witness_set.to_json(),
-            "i0": i0,
+            "i0": to_decimal(self.witness_coordinate),
             "mean": f"{self.mean.numerator}/{self.mean.denominator}",
             "prefix_len": self.prefix_len,
             "enumeration": self.enumeration,

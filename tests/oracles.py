@@ -12,12 +12,31 @@ from __future__ import annotations
 import bisect
 import sys
 from collections import OrderedDict
+from contextlib import contextmanager
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, groupby
 from math import comb
 
 import numpy as np
+
+# ---- CPython's int/str digit limit, set for one block ------------------------
+
+
+@contextmanager
+def int_digit_limit(limit: int):
+    """The int/str digit limit set to limit inside the block (0 lifts it).
+
+    For tests only: the limit is process-wide, and the library's own
+    conversions never touch it.
+    """
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(previous)
+
 
 # ---- maximal Schreier sets by exhaustive generation -------------------------
 
@@ -184,6 +203,50 @@ def brute_force_pair_family_ok(space, family) -> bool:
                 if space.d(p, y_n) < radii[n] and space.d(p, y_m) < radii[m]:
                     return False
     return True
+
+
+def reference_verify_pair_family(space, family):
+    """verify_pair_family with one space.d call per (n, m) separation test.
+
+    The original implementation; the production version compares one
+    gathered block of the distance matrix against the radii.
+    """
+    from wbslab.metric import PairFamilyReport
+
+    violations: list[dict] = []
+    pairs = family.pairs
+    for n, (x, y) in enumerate(pairs):
+        space.index(x), space.index(y)
+        if x == y:
+            violations.append({"condition": "distinct", "pair": n, "detail": f"{x} == {y}"})
+
+    radii = family.radii(space)
+    for n, (x_n, y_n) in enumerate(pairs):
+        for m, (x_m, _) in enumerate(pairs):
+            d = space.d(x_m, y_n)
+            if d < radii[n]:
+                violations.append(
+                    {
+                        "condition": "separation",
+                        "pair": n,
+                        "other": m,
+                        "detail": f"d({x_m}, {y_n}) = {d!r} < {radii[n]!r}",
+                    }
+                )
+
+    membership = space.balls([y for _, y in pairs], radii)
+    counts = membership.sum(axis=0)
+    for p in np.nonzero(counts > 1)[0]:
+        inside = np.nonzero(membership[:, p])[0]
+        violations.append(
+            {
+                "condition": "disjoint",
+                "point": space.labels[int(p)],
+                "balls": [int(i) for i in inside],
+                "detail": f"point lies in {int(counts[p])} balls",
+            }
+        )
+    return PairFamilyReport(ok=not violations, violations=violations)
 
 
 # ---- reference metric checks: the per-k triangle loop and the tuple greedy ---

@@ -1,5 +1,6 @@
 """Ordinal arithmetic, derived sets against the rational oracle, verdicts."""
 
+import itertools
 import math
 
 import pytest
@@ -154,6 +155,31 @@ class TestCbRank:
         for _, o in all_small_ordinals(3):
             leading = max(e.as_int() for e, _ in o.terms)
             assert cb_rank(o) == leading + 1
+
+    def test_closed_form_matches_iterated_derived_sets(self):
+        # every CNF ordinal with exponents <= 4 and coefficients <= 2
+        for coeffs in itertools.product(range(3), repeat=5):
+            terms = tuple((Ordinal.from_int(4 - i), c) for i, c in enumerate(coeffs) if c)
+            o, steps = Ordinal(terms), 0
+            while not o.is_zero:
+                o, steps = derived_set(o), steps + 1
+            assert cb_rank(Ordinal(terms)) == steps
+            # an infinite leading exponent survives every derivation
+            tower = Ordinal(((Ordinal.omega(), 1),) + terms)
+            for _ in range(6):
+                tower = derived_set(tower)
+            assert not tower.is_zero and cb_rank(Ordinal(((Ordinal.omega(), 1),) + terms)) is INFINITE_RANK
+
+    def test_large_exponents_at_once(self):
+        assert cb_rank(parse_ordinal("w^1000000000000*3 + w^2 + 1")) == 10**12 + 1
+        big = "9" * 5000
+        o = parse_ordinal(f"w^{big}*{big} + {big}")
+        assert cb_rank(o) == 10**5000
+        assert str(o) == f"w^{big}*{big} + {big}"
+
+    def test_digits_are_ascii(self):
+        with pytest.raises(InvalidInputError, match="bad ordinal syntax"):
+            parse_ordinal("w^\u0663")
 
 
 class TestVerdicts:

@@ -1,7 +1,10 @@
 """End-to-end CLI behavior through the argparse entry point."""
 
 import json
+import os
 import shlex
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -9,7 +12,9 @@ import pytest
 
 from wbslab.cli import build_parser, main
 from wbslab.errors import InvalidInputError
-from wbslab.schreier import count_max_at_most, unlimited_int_digits
+from wbslab.schreier import count_max_at_most
+
+from oracles import int_digit_limit
 
 
 def run_cli(capsys, *argv):
@@ -52,7 +57,7 @@ class TestSchreierCommands:
     def test_count_past_the_int_digit_limit(self, capsys):
         code, payload = run_cli(capsys, "schreier", "count", "30000")
         assert code == 0
-        with unlimited_int_digits():
+        with int_digit_limit(0):
             assert payload["count_max_at_most"] == str(count_max_at_most(30000))
         assert len(payload["count_max_at_most"]) > 4300
 
@@ -535,3 +540,102 @@ class TestExperimentCommand:
     def test_unknown_experiment_rejected(self, capsys):
         assert main(["experiment", "run", "bogus"]) == 2
         assert "error" in json.loads(capsys.readouterr().err)
+
+
+# ---- integers past CPython's int/str digit limit -------------------------------
+
+BIG = "9" * 5000
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+@pytest.mark.parametrize(
+    "argv, status",
+    [
+        (["schreier", "rank", f"{BIG},{BIG}1"], 2),
+        (["schreier", "unrank", f"-{BIG}"], 2),
+        (["schreier", "rank", f"[3,5,{BIG}]"], 2),
+        (["schreier", "count", f"-{BIG}"], 2),
+        (["cesaro", "certify", "--subsequence", "{terms}", "--N", "1"], 2),
+        (["cesaro", "certify", "--subsequence", "{terms}", "--N", "2"], 2),
+        (["cesaro", "certify", "--subsequence", f"affine:{BIG}", "--N", "1"], 2),
+        (["metric", "validate", f'{{"matrix": [[0, {BIG}], [{BIG}, 0]]}}'], 2),
+        (["classify", "ordinal", f"w^{BIG}"], 0),
+        (["classify", "ordinal", f"w*{BIG}"], 0),
+    ],
+    ids=["rank B,B1", "unrank -B", "rank [3,5,B]", "count -B", "certify terms N=1", "certify terms N=2",
+         "certify affine:B", "validate", "ordinal w^B", "ordinal w*B"],
+)
+def test_long_integers_end_in_an_answer_or_a_json_error(capsys, tmp_path, argv, status):
+    terms = tmp_path / "terms.json"
+    terms.write_text(f"[1, 2, {BIG}]")
+    assert main([str(terms) if arg == "{terms}" else arg for arg in argv]) == status
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    if status == 2:
+        assert captured.out == "" and "error" in json.loads(captured.err)
+    else:
+        assert json.loads(captured.out)["space_family"] == "C_of_ordinal"
+
+
+def test_long_integers_are_echoed_in_full(capsys):
+    assert main(["schreier", "unrank", f"-{BIG}"]) == 2
+    assert json.loads(capsys.readouterr().err)["message"] == f"rank must be >= 1, got -{BIG}"
+    assert main(["classify", "ordinal", f"w^{BIG}"]) == 0
+    assert f"vanish after 1{'0' * 5000} step(s)" in json.loads(capsys.readouterr().out)["reason"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["metric", "validate", "{big_matrix}"],
+        ["pairs", "find", "{big_matrix}"],
+        ["holder", "seminorm", "{space}", f"[{'9' * 400}, 0, 0, 0, 0]"],
+        ["pairs", "verify", "{space}", f'{{"K": {"9" * 400}, "pairs": [["p0", "p1"]]}}'],
+        ["embed", "linf", "--masses", "1", "--vector", "{big_vector}"],
+    ],
+    ids=lambda argv: " ".join(argv[:2]),
+)
+def test_integers_past_the_float_range_are_json_errors(capsys, space_file, tmp_path, argv):
+    big_matrix = f'{{"matrix": [[0, {"9" * 400}], [{"9" * 400}, 0]]}}'
+    big_vector = tmp_path / "vector.json"
+    big_vector.write_text(f"[{BIG}]")
+    names = {"{space}": str(space_file), "{big_matrix}": big_matrix, "{big_vector}": str(big_vector)}
+    assert main([names.get(arg, arg) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == "InvalidInputError"
+
+
+def test_no_digit_limit_toggle_while_long_integers_cross_text(capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(sys, "set_int_max_str_digits", lambda limit: calls.append(limit))
+    code, payload = run_cli(capsys, "schreier", "rank", "3,5,200000")
+    assert code == 0 and len(payload["rank"]) > 40_000
+    code, payload = run_cli(capsys, "schreier", "count", "30000")
+    assert code == 0 and len(payload["count_max_at_most"]) > 4300
+    code, payload = run_cli(capsys, "cesaro", "certify", "--subsequence", "identity", "--N", "20000")
+    assert code == 0 and len(payload["i0"]) > 4300
+    assert calls == []
+
+
+def test_long_rank_round_trips_under_the_lowest_digit_limit():
+    env = {**os.environ, "PYTHONINTMAXSTRDIGITS": "640"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+
+    def cli(*argv):
+        proc = subprocess.run(
+            [sys.executable, "-m", "wbslab.cli", *argv], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout)
+
+    rank = cli("schreier", "rank", "3,5,200000")["rank"]
+    assert len(rank) > 40_000
+    assert cli("schreier", "unrank", rank)["set"] == [3, 5, 200000]
+
+
+def test_large_ordinal_exponent_answers_at_once(capsys):
+    start = time.perf_counter()
+    code, payload = run_cli(capsys, "classify", "ordinal", "w^1000000000000")
+    assert time.perf_counter() - start < 1.0
+    assert code == 0 and "vanish after 1000000000001 step(s)" in payload["reason"]

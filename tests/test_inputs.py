@@ -1,0 +1,76 @@
+"""The decimal codec: integers of any length to text and back."""
+
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from wbslab.inputs import from_decimal, load_json, to_decimal
+
+from oracles import int_digit_limit
+
+
+def check_round_trip(n: int) -> None:
+    """The codec under the lowest legal limit agrees with str and int under none."""
+    with int_digit_limit(0):
+        expected = str(n)
+    with int_digit_limit(640):
+        assert to_decimal(n) == expected
+        assert from_decimal(expected) == n
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 40_000), st.integers(0, 2**32), st.booleans())
+def test_random_integers_round_trip(bits, seed, negative):
+    n = random.Random(seed).getrandbits(bits)
+    check_round_trip(-n if negative else n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 12_000), st.integers(0, 2**32))
+def test_digit_strings_with_long_zero_runs_round_trip(length, seed):
+    # zero runs fall across the halves the codec splits at
+    rng = random.Random(seed)
+    chunks = (rng.choice(["0" * rng.randint(1, 900), str(rng.randint(1, 9))]) for _ in range(length // 50 + 1))
+    text = "".join(chunks)
+    with int_digit_limit(0):
+        n = int(text)
+        expected = str(n)
+    with int_digit_limit(640):
+        assert from_decimal(text) == n
+        assert from_decimal("+" + text) == n and from_decimal("-" + text) == -n
+        assert to_decimal(n) == expected
+
+
+@pytest.mark.parametrize("d", [599, 600, 601, 617, 640, 4299, 4300, 4301])
+def test_powers_of_ten_and_their_predecessors(d):
+    for n in (10**d, 10**d - 1):
+        check_round_trip(n)
+        check_round_trip(-n)
+
+
+@pytest.mark.parametrize("n", [0, 1, -1, 2**2048 - 1, 2**2048, -(2**2048), 2**2049, 3**5000])
+def test_values_at_the_leaf_bounds(n):
+    check_round_trip(n)
+
+
+@pytest.mark.parametrize("text", ["0", "-0", "+17", " 12 ", "1_000", "٣", "-" + "9" * 599])
+def test_short_texts_go_to_int(text):
+    assert from_decimal(text) == int(text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["", "-", "abc", "0x10", "1_" + "0" * 700, " " + "9" * 700, "9" * 700 + "\n",
+     "٣" * 700, "+-" + "9" * 700, "9" * 350 + "." + "9" * 350],
+)
+def test_bad_texts_are_refused(text):
+    # past the leaf size only ASCII digits after an optional sign are read
+    with pytest.raises(ValueError):
+        from_decimal(text)
+
+
+def test_load_json_reads_long_integer_literals():
+    big = "9" * 5000
+    assert load_json(f'{{"K": {big}, "pairs": [-{big}]}}') == {"K": 10**5000 - 1, "pairs": [1 - 10**5000]}

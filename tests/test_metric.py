@@ -1,5 +1,6 @@
 """Metric validation, pair families, and the greedy finder."""
 
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -24,6 +25,7 @@ from oracles import (
     brute_force_pair_family_ok,
     reference_find_pair_family,
     reference_validate_metric,
+    reference_verify_pair_family,
 )
 
 
@@ -180,6 +182,65 @@ class TestVerifyPairFamily:
         space = line_grid(3)
         with pytest.raises(InvalidInputError):
             verify_pair_family(space, SeparatedPairFamily((("x", "y"),), 0.5))
+
+
+class TestVerifyMatchesReference:
+    """The gathered separation test against the per-pair loop it replaced."""
+
+    @staticmethod
+    def outcome(verify, space, family):
+        try:
+            return verify(space, family).to_json()
+        except InvalidInputError as exc:
+            return ("error", str(exc))
+
+    def test_same_report_on_random_families(self):
+        rng = np.random.default_rng(47)
+        for trial in range(150):
+            n = int(rng.integers(3, 14))
+            if trial % 3 == 0:  # ties: many equal distances on a grid
+                space = line_grid(n)
+            elif trial % 3 == 1:  # d(x, y) != d(y, x): which entry is read shows
+                space = FiniteMetricSpace(rng.uniform(0.5, 10, size=(n, n)) * (1 - np.eye(n)), validate=False)
+            else:
+                space = FiniteMetricSpace.from_points(rng.uniform(0, 10, size=(n, 2)))
+            labels = list(space.labels) + ["nowhere", "elsewhere"]
+            count = int(rng.integers(0, 7))
+            # labels drawn with replacement: repeated points, x == y pairs,
+            # and now and then a label the space does not have
+            weights = np.r_[np.full(n, 1.0), 0.1, 0.1] if trial % 4 == 0 else np.r_[np.ones(n), 0, 0]
+            draw = rng.choice(len(labels), size=(count, 2), p=weights / weights.sum())
+            pairs = tuple((labels[a], labels[b]) for a, b in draw)
+            family = SeparatedPairFamily(pairs, float(rng.uniform(0.05, 1.0)))
+            expected = self.outcome(reference_verify_pair_family, space, family)
+            assert self.outcome(verify_pair_family, space, family) == expected
+            assert json.dumps(expected)  # plain floats and ints only
+
+    def test_violating_family_lists_every_separation_failure(self):
+        space = line_grid(6)
+        labels = space.labels
+        # B(p2, 2) holds x-points p1 and p3, B(p5, 4) holds p3
+        family = SeparatedPairFamily(
+            ((labels[0], labels[2]), (labels[1], labels[5]), (labels[3], labels[4])), 1.0
+        )
+        report = verify_pair_family(space, family)
+        assert report.to_json() == reference_verify_pair_family(space, family).to_json()
+        separation = [(v["pair"], v["other"]) for v in report.violations if v["condition"] == "separation"]
+        assert separation == [(0, 1), (0, 2), (1, 2)]
+        assert report.violations[0]["detail"] == "d(p1, p2) = 1.0 < 2.0"
+        assert "np." not in json.dumps(report.to_json())
+
+    def test_first_unknown_label_in_pair_order(self):
+        space = line_grid(3)
+        family = SeparatedPairFamily(((space.labels[0], "ghost"), ("phantom", space.labels[1])), 0.5)
+        with pytest.raises(InvalidInputError, match="ghost"):
+            verify_pair_family(space, family)
+
+    def test_empty_family(self):
+        assert verify_pair_family(line_grid(3), SeparatedPairFamily((), 0.5)).to_json() == {
+            "ok": True,
+            "violations": [],
+        }
 
 
 class TestFindPairFamily:
