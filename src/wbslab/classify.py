@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from functools import total_ordering
 
 from .errors import InvalidInputError
-from .inputs import from_decimal, to_decimal
+from .inputs import cell_masses, from_decimal, to_decimal
 
 __all__ = [
     "Ordinal",
@@ -287,12 +287,9 @@ class FiniteMeasurePartition:
     is_terminal: bool
 
     def __post_init__(self):
-        masses = tuple(float(m) for m in self.masses)
-        object.__setattr__(self, "masses", masses)
-        if not masses:
+        object.__setattr__(self, "masses", cell_masses(self.masses))
+        if not self.masses:
             raise InvalidInputError("partition needs at least one cell")
-        if any(not math.isfinite(m) or m <= 0 for m in masses):
-            raise InvalidInputError(f"cell masses must be positive and finite: {masses}")
 
 
 @dataclass(frozen=True)

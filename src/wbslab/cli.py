@@ -25,7 +25,7 @@ from collections.abc import Iterator
 from pathlib import Path
 
 from .errors import InvalidInputError, PairSearchFailure, WbsLabError
-from .inputs import EXPERIMENT_NAMES, existing_file, from_decimal, load_json, to_decimal
+from .inputs import EXPERIMENT_NAMES, existing_file, from_decimal, load_json, parse_json, to_decimal
 from .schreier import ENUMERATION_NAMES, SchreierSet, count_max_at_most, get_enumeration
 
 
@@ -100,7 +100,7 @@ def _label_pair(text: str) -> tuple[str, str]:
 def _parse_set(text: str) -> SchreierSet:
     text = text.strip()
     if text.startswith("["):
-        values = json.loads(text, parse_int=from_decimal)
+        values = parse_json(text)
     else:
         values = [p for p in text.split(",") if p.strip()]
     return SchreierSet.from_iterable(_parse_int(v) for v in values)
@@ -154,7 +154,11 @@ def _cmd_certify(args) -> int:
 
     path = existing_file(args.subsequence)
     if path:
-        sub = Subsequence.from_terms(load_json(path))
+        terms = load_json(path)
+        if not isinstance(terms, list):
+            kind = type(terms).__name__
+            raise InvalidInputError(f"a term file must hold a JSON array of integers, got JSON {kind}")
+        sub = Subsequence.from_terms([_parse_int(v) for v in terms])
     else:
         sub = Subsequence.parse(args.subsequence)
     cert = certify_not_cesaro_null(sub, args.N, oracle=SequenceOracle(args.enumeration))

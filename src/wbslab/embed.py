@@ -34,7 +34,8 @@ from .errors import (
     InvalidInputError,
 )
 # perfbench/tracing.py wraps holder_norm and tent_bump under this module's names
-from .holder import ScalarField, holder_norm, pair_bump, tent_bump, validate_alpha  # noqa: F401
+from .holder import ScalarField, holder_norm, pair_bump, tent_bump, validate_alpha, validate_radius  # noqa: F401
+from .inputs import cell_masses
 from .metric import FiniteMetricSpace, SeparatedPairFamily, verify_pair_family
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
@@ -119,6 +120,14 @@ class HolderEmbedding:
         """The operator norm bound: ||T(a)|| <= (2 / K**alpha + 1) * sup(a)."""
         return 2.0 / self.family.K**self.alpha + 1.0
 
+    def coefficients(self, vectors: list[FiniteSequence]) -> np.ndarray:
+        """The V x m matrix of V vectors, each one coefficient per pair."""
+        m = len(self.family)
+        for a in vectors:
+            if len(a) != m:
+                raise InvalidInputError(f"vector length {len(a)} != family size {m}")
+        return np.array([a.entries for a in vectors]).reshape(len(vectors), m)
+
     def apply_batch(self, coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Sup norms and seminorms of the V rows' images; temporaries hold V * |S| values."""
         values = coeffs[:, self.owner] * self.weight
@@ -169,12 +178,8 @@ def embed_holder(a: FiniteSequence, embedding: HolderEmbedding) -> ScalarField:
     Points carried by no ball get value 0; since every bump vanishes off
     its own ball, this agrees pointwise with any fallback-index reading.
     """
-    if len(a) != len(embedding.family):
-        raise InvalidInputError(
-            f"vector length {len(a)} != family size {len(embedding.family)}"
-        )
     values = np.zeros(len(embedding.space))
-    values[embedding.support] = np.take(a.entries, embedding.owner) * embedding.weight
+    values[embedding.support] = embedding.coefficients([a])[0, embedding.owner] * embedding.weight
     return ScalarField(embedding.space, values)
 
 
@@ -214,11 +219,7 @@ def verify_sandwich(
     returned in its check when raise_on_violation is False, so suites can
     collect rather than abort).
     """
-    m = len(embedding.family)
-    for a in vectors:
-        if len(a) != m:
-            raise InvalidInputError(f"vector length {len(a)} != family size {m}")
-    sups, seminorms = embedding.apply_batch(np.array([a.entries for a in vectors]).reshape(len(vectors), m))
+    sups, seminorms = embedding.apply_batch(embedding.coefficients(vectors))
     bound_upper = embedding.bound_upper
     slack = tolerances.sandwich_rel
     checks = []
@@ -305,9 +306,7 @@ def tent_images(
                 f"lengths disagree: {m} coefficients, {len(centers)} centers, "
                 f"{len(radii)} radii"
             )
-    radii = [float(r) for r in radii]
-    if any(not r > 0 for r in radii):  # NaN included
-        raise InvalidInputError("all radii must be positive")
+    radii = [validate_radius(r) for r in radii]
     members = space.balls(centers, radii)
     clash = np.nonzero(members.sum(axis=0) > 1)[0]
     if clash.size:
@@ -347,12 +346,11 @@ class StepFunction:
     masses: tuple[float, ...]
 
     def __post_init__(self):
-        vals = tuple(float(v) for v in self.cell_values)
-        masses = tuple(float(m) for m in self.masses)
+        vals, masses = tuple(float(v) for v in self.cell_values), tuple(self.masses)
         if len(vals) != len(masses):
-            raise InvalidInputError("one value per cell required")
+            raise InvalidInputError(f"vector length {len(vals)} != partition size {len(masses)}")
         object.__setattr__(self, "cell_values", vals)
-        object.__setattr__(self, "masses", masses)
+        object.__setattr__(self, "masses", cell_masses(masses))
 
     @property
     def ess_sup(self) -> float:
@@ -369,11 +367,4 @@ def embed_linf(a: FiniteSequence, masses: list[float]) -> StepFunction:
     Every cell mass must be positive: a null cell would make its
     coefficient invisible to the essential sup.
     """
-    masses = [float(m) for m in masses]
-    if len(a) != len(masses):
-        raise InvalidInputError(
-            f"vector length {len(a)} != partition size {len(masses)}"
-        )
-    if any(not np.isfinite(m) or m <= 0 for m in masses):
-        raise InvalidInputError("all cell masses must be positive and finite")
-    return StepFunction(cell_values=a.entries, masses=tuple(masses))
+    return StepFunction(cell_values=a.entries, masses=masses)

@@ -12,7 +12,7 @@ import csv
 import datetime
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
@@ -44,11 +44,7 @@ class ExperimentConfig:
         return {
             "seed": self.seed,
             "enumeration": self.enumeration,
-            "tolerances": {
-                "triangle_rel": self.tolerances.triangle_rel,
-                "float_slack": self.tolerances.float_slack,
-                "sandwich_rel": self.tolerances.sandwich_rel,
-            },
+            "tolerances": asdict(self.tolerances),
         }
 
 

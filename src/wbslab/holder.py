@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .metric import FiniteMetricSpace, _float_array
+from .metric import FiniteMetricSpace, _float_array, validate_separation
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
 __all__ = [
@@ -46,6 +46,13 @@ def validate_alpha(alpha: float) -> float:
     if not 0 < alpha <= 1:
         raise InvalidInputError(f"exponent must satisfy 0 < alpha <= 1, got {alpha}")
     return alpha
+
+
+def validate_radius(radius: float) -> float:
+    radius = float(radius)
+    if not radius > 0:  # NaN included
+        raise InvalidInputError(f"radius must be positive, got {radius}")
+    return radius
 
 
 @dataclass(frozen=True)
@@ -124,17 +131,15 @@ def pair_bump(
     at x_n it is 0 because K <= 1.
     """
     alpha = validate_alpha(alpha)
-    if not 0 < K <= 1:
-        raise InvalidInputError(f"separation constant must be in (0, 1], got {K}")
+    validate_separation(K)
     x_n, y_n = pair
     d_pair = space.d(x_n, y_n)
     if d_pair == 0.0:
         raise InvalidInputError(f"pair points must be distinct: {x_n!r}, {y_n!r}")
     d_to_center = space.dist[space.index(y_n)]
     raw = np.minimum(1.0, d_pair**alpha - d_to_center**alpha / K**alpha)
-    values = np.maximum(raw, 0.0)
-    values[~(d_to_center < K * d_pair)] = 0.0
-    return ScalarField(space, values)
+    inside = space.balls([y_n], [K * d_pair])[0]
+    return ScalarField(space, np.where(inside, np.maximum(raw, 0.0), 0.0))
 
 
 def tent_bump(space: FiniteMetricSpace, center: str, epsilon: float) -> ScalarField:
@@ -143,9 +148,7 @@ def tent_bump(space: FiniteMetricSpace, center: str, epsilon: float) -> ScalarFi
     Pointwise ``max(1 - d(x, center)/epsilon, 0)``; the single division
     makes the clamp exact at the boundary, so no masking is needed.
     """
-    epsilon = float(epsilon)
-    if not epsilon > 0:  # NaN included
-        raise InvalidInputError(f"radius must be positive, got {epsilon}")
+    epsilon = validate_radius(epsilon)
     d = space.dist[space.index(center)]
     return ScalarField(space, np.maximum(1.0 - d / epsilon, 0.0))
 

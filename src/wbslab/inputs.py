@@ -3,16 +3,23 @@
 The CLI builds its parser from these names before it knows which action
 runs, so they live apart from the array modules that only some actions
 load.  Every big integer crosses text here, through `to_decimal` and
-`from_decimal`, whatever CPython's int/str digit limit is set to.
+`from_decimal`, whatever CPython's int/str digit limit is set to, and
+every JSON argument through `parse_json`.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from functools import cache
 from pathlib import Path
 
-__all__ = ["EXPERIMENT_NAMES", "existing_file", "from_decimal", "load_json", "to_decimal"]
+from .errors import InvalidInputError
+
+__all__ = [
+    "EXPERIMENT_NAMES", "cell_masses", "existing_file", "from_decimal", "load_json",
+    "parse_json", "to_decimal",
+]
 
 # The suites ``experiments.run_experiment`` runs, in run order.
 EXPERIMENT_NAMES = ("cesaro-suite", "sandwich-suite", "isometry-suite")
@@ -67,13 +74,21 @@ def from_decimal(text: str) -> int:
     return -n if text[0] == "-" else n
 
 
-def load_json(source):
-    """Parse the file source names if it exists, else source as JSON text.
+def parse_json(text: str):
+    """JSON text, integer literals of any length read through from_decimal.
 
-    Integer literals of any length are read through from_decimal.
+    Nesting deeper than the interpreter's recursion limit is invalid input.
     """
+    try:
+        return json.loads(text, parse_int=from_decimal)
+    except RecursionError:
+        raise InvalidInputError("JSON nested too deeply to parse") from None
+
+
+def load_json(source):
+    """Parse the file source names if it exists, else source as JSON text."""
     path = existing_file(source)
-    return json.loads(path.read_text() if path else str(source), parse_int=from_decimal)
+    return parse_json(path.read_text() if path else str(source))
 
 
 def existing_file(source) -> Path | None:
@@ -82,3 +97,11 @@ def existing_file(source) -> Path | None:
         return Path(source) if Path(source).is_file() else None
     except OSError:  # ENAMETOOLONG: inline JSON or a number list, not a path
         return None
+
+
+def cell_masses(masses) -> tuple[float, ...]:
+    """The masses as floats, each positive and finite; numpy-free for `classify linf`."""
+    masses = tuple(float(m) for m in masses)
+    if not all(0 < m < math.inf for m in masses):  # NaN included
+        raise InvalidInputError(f"cell masses must be positive and finite: {masses}")
+    return masses

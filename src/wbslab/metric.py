@@ -20,7 +20,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import InvalidInputError, PairSearchFailure
-from .inputs import existing_file, load_json  # noqa: F401  (re-exported)
+from .inputs import load_json
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
 __all__ = [
@@ -32,7 +32,7 @@ __all__ = [
     "PairFamilyReport",
     "verify_pair_family",
     "find_pair_family",
-    "load_json",
+    "validate_separation",
     "load_space",
     "space_input",
 ]
@@ -241,7 +241,7 @@ class FiniteMetricSpace:
 
     def balls(self, centers: Sequence[str], radii: Sequence[float]) -> np.ndarray:
         """m x n mask: row i marks the points strictly inside B(centers[i], radii[i])."""
-        rows = self.dist[[self.index(c) for c in centers]]
+        rows = self.dist.take([self.index(c) for c in centers], axis=0)
         return rows < np.asarray(radii, dtype=float).reshape(-1, 1)
 
     def restrict(self, subset: Sequence[str]) -> "FiniteMetricSpace":
@@ -304,6 +304,13 @@ def load_space(source) -> FiniteMetricSpace:
     return FiniteMetricSpace.from_json(load_json(source))
 
 
+def validate_separation(K: float) -> float:
+    """K itself if it is a separation constant, in (0, 1]."""
+    if not 0 < K <= 1:  # NaN included
+        raise InvalidInputError(f"separation constant must be in (0, 1], got {K}")
+    return K
+
+
 @dataclass(frozen=True)
 class SeparatedPairFamily:
     """Pairs (x_n, y_n) with a separation constant K in (0, 1]."""
@@ -315,8 +322,7 @@ class SeparatedPairFamily:
         object.__setattr__(
             self, "pairs", tuple((str(x), str(y)) for x, y in self.pairs)
         )
-        if not 0 < self.K <= 1:
-            raise InvalidInputError(f"separation constant must be in (0, 1], got {self.K}")
+        validate_separation(self.K)
 
     def __len__(self) -> int:
         return len(self.pairs)
@@ -414,8 +420,7 @@ def find_pair_family(
     at most floor(s/2) pairs.  The result always re-verifies cleanly; on
     failure the best family found is attached to the PairSearchFailure.
     """
-    if not 0 < K <= 1:
-        raise InvalidInputError(f"separation constant must be in (0, 1], got {K}")
+    validate_separation(K)
     if target_count < 1:
         raise InvalidInputError(f"target_count must be >= 1, got {target_count}")
     dist = space.dist

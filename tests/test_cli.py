@@ -1,6 +1,7 @@
 """End-to-end CLI behavior through the argparse entry point."""
 
 import json
+import math
 import os
 import shlex
 import subprocess
@@ -10,8 +11,22 @@ from pathlib import Path
 
 import pytest
 
+from wbslab.classify import FiniteMeasurePartition
 from wbslab.cli import build_parser, main
-from wbslab.errors import InvalidInputError
+from wbslab.embed import (
+    FiniteSequence,
+    StepFunction,
+    build_support_map,
+    distortion_report,
+    embed_cb,
+    embed_holder,
+    embed_linf,
+    tent_images,
+    verify_sandwich,
+)
+from wbslab.errors import InvalidInputError, WbsLabError
+from wbslab.holder import pair_bump, tent_bump
+from wbslab.metric import SeparatedPairFamily, find_pair_family, load_space
 from wbslab.schreier import count_max_at_most
 
 from oracles import int_digit_limit
@@ -286,6 +301,10 @@ class TestMetricAndPairs:
         ["metric", "validate", '{"matrix": [[0, 1], [1, 0]], "labels": "ab"}'],
         ["pairs", "find", '{"matrix": [[0, 1], [1, 0]], "labels": "ab"}'],
         ["metric", "validate", '{"matrix": [[0, 1], [1, 0]], "labels": {"a": 0, "b": 1}}'],
+        # JSON nested past the recursion limit, inline and in a file
+        ["schreier", "rank", "[" * 100_000],
+        ["metric", "validate", '{"matrix": ' + "[" * 100_000],
+        ["embed", "linf", "--masses", "1", "--vector", "{deep}"],
     ],
 )
 def test_malformed_arguments_are_json_errors(capsys, space_file, tmp_path, argv):
@@ -294,7 +313,10 @@ def test_malformed_arguments_are_json_errors(capsys, space_file, tmp_path, argv)
         "{missing}": str(tmp_path / "nosuch.json"),
         "{dir}": str(tmp_path),
         "{under_file}": str(space_file / "sub"),
+        "{deep}": str(tmp_path / "deep.json"),
     }
+    if "{deep}" in argv:
+        (tmp_path / "deep.json").write_text("[" * 100_000 + "]" * 100_000)
     assert main([names.get(arg, arg) for arg in argv]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -639,3 +661,140 @@ def test_large_ordinal_exponent_answers_at_once(capsys):
     code, payload = run_cli(capsys, "classify", "ordinal", "w^1000000000000")
     assert time.perf_counter() - start < 1.0
     assert code == 0 and "vanish after 1000000000001 step(s)" in payload["reason"]
+
+
+# ---- each input rule of the float half, at every entry point that checks it
+
+
+def failure(capsys, entry) -> tuple[str, str]:
+    """The error type and message of a library call, or of a CLI argv's JSON error."""
+    if callable(entry):
+        with pytest.raises(WbsLabError) as info:
+            entry()
+        return type(info.value).__name__, str(info.value)
+    assert main(entry) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    payload = json.loads(captured.err)
+    return payload["error"], payload["message"]
+
+
+@pytest.mark.parametrize("K", [0.0, -1.0, 1.5, 2.0, math.nan])
+@pytest.mark.parametrize(
+    "entry", ["SeparatedPairFamily", "find_pair_family", "pair_bump", "pairs find", "holder bump"]
+)
+def test_separation_constant_rule(capsys, space_file, entry, K):
+    space, path = load_space(str(space_file)), str(space_file)
+    calls = {
+        "SeparatedPairFamily": lambda: SeparatedPairFamily((("p0", "p1"),), K),
+        "find_pair_family": lambda: find_pair_family(space, K, 1),
+        "pair_bump": lambda: pair_bump(space, ("p0", "p1"), K, 1.0),
+        "pairs find": ["pairs", "find", path, f"--K={K}"],
+        "holder bump": ["holder", "bump", path, "--pair", "p0,p1", f"--K={K}"],
+    }
+    message = f"separation constant must be in (0, 1], got {K}"
+    assert failure(capsys, calls[entry]) == ("InvalidInputError", message)
+
+
+@pytest.mark.parametrize("radius", [0.0, -1.0, math.nan])
+@pytest.mark.parametrize("entry", ["tent_bump", "tent_images", "embed_cb", "holder bump", "embed cb"])
+def test_tent_radius_rule(capsys, space_file, entry, radius):
+    space, path, a = load_space(str(space_file)), str(space_file), FiniteSequence((1.0,))
+    calls = {
+        "tent_bump": lambda: tent_bump(space, "p0", radius),
+        "tent_images": lambda: tent_images([a], space, ["p0"], [radius]),
+        "embed_cb": lambda: embed_cb(a, space, ["p0"], [radius]),
+        "holder bump": ["holder", "bump", path, "--kind", "tent", "--center", "p0", f"--epsilon={radius}"],
+        "embed cb": ["embed", "cb", path, "--centers", "p0", f"--radii={radius}", "--vector", "1"],
+    }
+    assert failure(capsys, calls[entry]) == ("InvalidInputError", f"radius must be positive, got {radius}")
+
+
+@pytest.mark.parametrize("masses", [(0.0,), (-1.0,), (1.0, -2.0), (math.nan,), (math.inf,)])
+@pytest.mark.parametrize(
+    "entry", ["StepFunction", "embed_linf", "FiniteMeasurePartition", "embed linf", "classify linf"]
+)
+def test_cell_masses_rule(capsys, entry, masses):
+    ones, text = (1.0,) * len(masses), ",".join(map(str, masses))
+    calls = {
+        "StepFunction": lambda: StepFunction(ones, masses),
+        "embed_linf": lambda: embed_linf(FiniteSequence(ones), list(masses)),
+        "FiniteMeasurePartition": lambda: FiniteMeasurePartition(masses, is_terminal=True),
+        "embed linf": ["embed", "linf", f"--masses={text}", "--vector", ",".join(["1"] * len(masses))],
+        "classify linf": ["classify", "linf", f"--masses={text}"],
+    }
+    message = f"cell masses must be positive and finite: {masses}"
+    assert failure(capsys, calls[entry]) == ("InvalidInputError", message)
+
+
+@pytest.mark.parametrize("length", [1, 3])
+@pytest.mark.parametrize(
+    "entry", ["embed_holder", "verify_sandwich", "distortion_report", "embed holder"]
+)
+def test_vector_length_rule(capsys, space_file, entry, length):
+    space, path = load_space(str(space_file)), str(space_file)
+    family = find_pair_family(space, 0.5, 2)
+    a = FiniteSequence((1.0,) * length)
+    calls = {
+        "embed_holder": lambda: embed_holder(a, build_support_map(space, family, 1.0)),
+        "verify_sandwich": lambda: verify_sandwich([a], build_support_map(space, family, 1.0)),
+        "distortion_report": lambda: distortion_report(space, family, 1.0, [a]),
+        "embed holder": [
+            "embed", "holder", path, json.dumps(family.to_json()), "--vector", ",".join(["1"] * length)
+        ],
+    }
+    message = f"vector length {length} != family size 2"
+    assert failure(capsys, calls[entry]) == ("InvalidInputError", message)
+
+
+@pytest.mark.parametrize("entry", ["StepFunction", "embed_linf", "embed linf"])
+def test_partition_size_rule(capsys, entry):
+    calls = {
+        "StepFunction": lambda: StepFunction((1.0, 1.0), (1.0,)),
+        "embed_linf": lambda: embed_linf(FiniteSequence((1.0, 1.0)), [1.0]),
+        "embed linf": ["embed", "linf", "--masses", "1", "--vector", "1,1"],
+    }
+    assert failure(capsys, calls[entry]) == ("InvalidInputError", "vector length 2 != partition size 1")
+
+
+def test_rules_keep_their_check_order(capsys, space_file):
+    space = load_space(str(space_file))
+    a = FiniteSequence((1.0, 1.0))
+    cases = [
+        # alpha before K, K before target_count, lengths before radii or masses
+        (lambda: pair_bump(space, ("p0", "p1"), 1.5, 0.0), "exponent must satisfy"),
+        (lambda: find_pair_family(space, 1.5, 0), "separation constant must be"),
+        (lambda: tent_images([a], space, ["p0"], [-1.0]), "lengths disagree"),
+        (lambda: StepFunction((1.0, 1.0), (-1.0,)), "vector length 2 != partition size 1"),
+        (lambda: embed_linf(a, [-1.0]), "vector length 2 != partition size 1"),
+    ]
+    for call, start in cases:
+        assert failure(capsys, call)[1].startswith(start)
+
+
+@pytest.mark.parametrize(
+    "terms, message",
+    [
+        ({"a": 1}, "a term file must hold a JSON array of integers, got JSON dict"),
+        (5, "a term file must hold a JSON array of integers, got JSON int"),
+        (None, "a term file must hold a JSON array of integers, got JSON NoneType"),
+        (["x", 2], "expected a decimal integer, got 'x'"),
+        ([[1], [2]], "expected a decimal integer, got JSON list"),
+        ([1.5, 2.5, 3.5, 4.5], "expected a decimal integer, got JSON float"),
+        ([True, 2, 3], "expected a decimal integer, got JSON bool"),
+    ],
+    ids=["object", "number", "null", "text", "nested", "floats", "bool"],
+)
+def test_term_file_reads_integers_like_inline_terms(capsys, tmp_path, terms, message):
+    path = tmp_path / "terms.json"
+    path.write_text(json.dumps(terms))
+    argv = ["cesaro", "certify", "--subsequence", str(path), "--N", "1"]
+    assert failure(capsys, argv) == ("InvalidInputError", message)
+
+
+def test_term_file_of_decimal_strings_matches_inline_terms(capsys, tmp_path):
+    path = tmp_path / "terms.json"
+    path.write_text(json.dumps(["2", "3", "4", "5"]))
+    code, from_file = run_cli(capsys, "cesaro", "certify", "--subsequence", str(path), "--N", "1")
+    assert (code, from_file) == run_cli(capsys, "cesaro", "certify", "--subsequence", "2,3,4,5", "--N", "1")
+    assert code == 0 and from_file["rule"] == "explicit"

@@ -18,6 +18,7 @@ def test_exact_actions_load_no_numpy():
         "    (['cesaro', 'certify', '--subsequence', 'affine:2,0', '--N', '4'], 0),\n"
         "    (['classify', 'calpha', '--points', '5'], 0),\n"
         "    (['pairs', 'find', '--K', '0.5'], 2),\n"
+        "    (['classify', 'linf', '--masses', '1,-2'], 2),\n"
         "]\n"
         "for argv, expected in calls:\n"
         "    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
