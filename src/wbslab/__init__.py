@@ -31,7 +31,6 @@ _EXPORTS = {
         "classify_cb",
         "classify_c_of_ordinal",
         "classify_linf",
-        "derived_set",
         "parse_ordinal",
     ),
     "embed": (

@@ -39,7 +39,6 @@ from .inputs import cell_masses, from_decimal, to_decimal
 __all__ = [
     "Ordinal",
     "parse_ordinal",
-    "derived_set",
     "cb_rank",
     "INFINITE_RANK",
     "FiniteMeasurePartition",
@@ -241,23 +240,6 @@ def parse_ordinal(text: str) -> Ordinal:
     if pos != len(tokens):
         raise InvalidInputError(f"trailing tokens in {text!r}")
     return result
-
-
-def derived_set(o: Ordinal) -> Ordinal:
-    """Ordinal of the derived interval: limit ordinals of (0, o].
-
-    Zero encodes the empty space.  Finite exponents decrement, infinite
-    exponents are fixed points of the decrement, the finite part drops.
-    """
-    new_terms = []
-    for e, c in o.terms:
-        if e.is_zero:
-            continue  # isolated finite tail
-        if e.is_finite:
-            new_terms.append((Ordinal.from_int(e.as_int() - 1), c))
-        else:
-            new_terms.append((e, c))
-    return Ordinal(tuple(new_terms))
 
 
 def cb_rank(o: Ordinal) -> int | float:

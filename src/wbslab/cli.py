@@ -20,12 +20,13 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from collections.abc import Iterator
 from pathlib import Path
 
 from .errors import InvalidInputError, PairSearchFailure, WbsLabError
-from .inputs import EXPERIMENT_NAMES, existing_file, from_decimal, load_json, parse_json, to_decimal
+from .inputs import EXPERIMENT_NAMES, existing_file, from_decimal, json_type, load_json, parse_json, to_decimal
 from .schreier import ENUMERATION_NAMES, SchreierSet, count_max_at_most, get_enumeration
 
 
@@ -41,21 +42,6 @@ class _Parser(argparse.ArgumentParser):
         if extras and self.get_default("handler") is not None:
             self.error(f"unrecognized arguments: {' '.join(extras)}")
         return namespace, extras
-
-
-def _tolerance_override(text: str) -> tuple[str, float]:
-    """NAME=VALUE for --tolerance; Tolerances.with_overrides checks NAME."""
-    name, _, value = text.partition("=")
-    try:
-        return name.strip(), float(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected NAME=NUMBER, got {text!r}") from None
-
-
-def _tolerances(args):
-    from .tolerances import DEFAULT_TOLERANCES
-
-    return DEFAULT_TOLERANCES.with_overrides(**dict(args.tolerance))
 
 
 def _emit(args, payload: dict, ok: bool = True) -> int:
@@ -76,7 +62,7 @@ def _parse_int(value) -> int:
     if isinstance(value, int) and not isinstance(value, bool):
         return value
     if not isinstance(value, str):
-        raise InvalidInputError(f"expected a decimal integer, got JSON {type(value).__name__}")
+        raise InvalidInputError(f"expected a decimal integer, got JSON {json_type(value)}")
     try:
         return from_decimal(value)
     except ValueError:
@@ -156,7 +142,7 @@ def _cmd_certify(args) -> int:
     if path:
         terms = load_json(path)
         if not isinstance(terms, list):
-            kind = type(terms).__name__
+            kind = json_type(terms)
             raise InvalidInputError(f"a term file must hold a JSON array of integers, got JSON {kind}")
         sub = Subsequence.from_terms([_parse_int(v) for v in terms])
     else:
@@ -170,7 +156,7 @@ def _cmd_certify(args) -> int:
 def _cmd_validate(args) -> int:
     from .metric import space_input, validate_metric
 
-    report = validate_metric(*space_input(load_json(args.space)), tolerances=_tolerances(args))
+    report = validate_metric(*space_input(load_json(args.space)))
     return _emit(args, report.to_json(), report.ok)
 
 
@@ -236,7 +222,7 @@ def _cmd_embed_holder(args) -> int:
     space = load_space(args.space)
     family = SeparatedPairFamily.from_json(load_json(args.family))
     vectors = structured_vectors(len(family)) + list(_parse_vectors(args.vector, len(family), args.seed))
-    report = distortion_report(space, family, args.alpha, vectors, tolerances=_tolerances(args))
+    report = distortion_report(space, family, args.alpha, vectors)
     payload = report.to_json()
     payload.update({"alpha": args.alpha, "seed": args.seed})
     return _emit(args, payload)
@@ -308,10 +294,7 @@ def _cmd_classify_ordinal(args) -> int:
 def _cmd_experiment(args) -> int:
     from .experiments import ExperimentConfig, run_experiment
 
-    config = ExperimentConfig(
-        seed=args.seed, enumeration=args.enumeration, tolerances=_tolerances(args),
-        out_dir=args.report_dir,
-    )
+    config = ExperimentConfig(seed=args.seed, enumeration=args.enumeration, out_dir=args.report_dir)
     summaries = []
     for name in list(EXPERIMENT_NAMES) if args.name == "all" else [args.name]:
         try:
@@ -339,10 +322,6 @@ _SHARED = {
     "family": dict(help="pair family JSON: a file or the text"),
     "--seed": dict(type=int, default=0, help="seed of random inputs, recorded in outputs"),
     "--enumeration": dict(choices=ENUMERATION_NAMES, default="canonical", help="Schreier order"),
-    "--tolerance": dict(
-        type=_tolerance_override, action="append", default=[], metavar="NAME=VALUE",
-        help="override a tolerance (triangle_rel, float_slack, sandwich_rel)",
-    ),
     "--alpha": dict(type=float, default=1.0, help="Holder exponent"),
     "--K": dict(type=float, default=0.5, help="separation constant"),
     "--vector": dict(default="random:0", help="file, comma floats, or random:SEED[:COUNT]"),
@@ -390,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     _action(
         command("metric", "validate a distance matrix"), "validate", _cmd_validate,
-        "check the metric axioms", "space", "--tolerance",
+        "check the metric axioms", "space",
     )
 
     pairs = command("pairs", "separated pair families")
@@ -410,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
     embed = command("embed", "embedding operators and their bounds")
     _action(
         embed, "holder", _cmd_embed_holder, "distortion of the Holder embedding",
-        "space", "family", "--alpha", "--vector", "--seed", "--tolerance",
+        "space", "family", "--alpha", "--vector", "--seed",
     )
     p = _action(embed, "cb", _cmd_embed_cb, "tent sums into Cb", "space", "--vector", "--seed")
     p.add_argument("--centers", required=True, help="comma labels")
@@ -433,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = _action(
         command("experiment", "run a certified suite"), "run", _cmd_experiment,
-        "run one suite or all", "--seed", "--enumeration", "--tolerance",
+        "run one suite or all", "--seed", "--enumeration",
     )
     p.add_argument("name", choices=list(EXPERIMENT_NAMES) + ["all"])
     p.add_argument("--report-dir", type=Path, default=None, help="write JSON + CSV here")
@@ -444,14 +423,21 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.handler(args)
+        status = args.handler(args)
+        sys.stdout.flush()  # a reader that left fails here, not at interpreter exit
+        return status
+    except BrokenPipeError as exc:
+        # send what stdout still buffers to devnull, as the signal module's
+        # docs advise, so the interpreter prints nothing more at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        payload = {"error": type(exc).__name__, "message": "stdout closed before the output was written"}
     except (WbsLabError, json.JSONDecodeError) as exc:
         witness = getattr(exc, "witness", None)
         payload = {"error": type(exc).__name__, "message": str(exc)}
         if witness is not None and hasattr(witness, "to_json"):
             payload["witness"] = witness.to_json()
-        print(json.dumps(payload, indent=2, sort_keys=True), file=sys.stderr)
-        return 2
+    print(json.dumps(payload, indent=2, sort_keys=True), file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

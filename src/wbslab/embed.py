@@ -28,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import tolerances
 from .errors import (
     CertificateViolationError,
     InconsistentFamilyError,
@@ -37,7 +38,6 @@ from .errors import (
 from .holder import ScalarField, holder_norm, pair_bump, tent_bump, validate_alpha, validate_radius  # noqa: F401
 from .inputs import cell_masses
 from .metric import FiniteMetricSpace, SeparatedPairFamily, verify_pair_family
-from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
 __all__ = [
     "FiniteSequence",
@@ -208,7 +208,6 @@ class SandwichCheck:
 def verify_sandwich(
     vectors: list[FiniteSequence],
     embedding: HolderEmbedding,
-    tolerances: Tolerances = DEFAULT_TOLERANCES,
     raise_on_violation: bool = True,
 ) -> list[SandwichCheck]:
     """Certify sup(a) <= ||T(a)|| <= (2/K**alpha + 1) * sup(a) for each a.
@@ -221,7 +220,7 @@ def verify_sandwich(
     """
     sups, seminorms = embedding.apply_batch(embedding.coefficients(vectors))
     bound_upper = embedding.bound_upper
-    slack = tolerances.sandwich_rel
+    slack = tolerances.DEFAULT_TOLERANCES.sandwich_rel
     checks = []
     for a, sup_f, seminorm in zip(vectors, sups.tolist(), seminorms.tolist()):
         norm, sup_a = sup_f + seminorm, a.sup_value
@@ -271,14 +270,13 @@ def distortion_report(
     family: SeparatedPairFamily,
     alpha: float,
     vectors: list[FiniteSequence],
-    tolerances: Tolerances = DEFAULT_TOLERANCES,
 ) -> EmbeddingReport:
     """Measure the embedding's distortion over the given nonzero vectors."""
     nonzero = [a for a in vectors if a.sup_value != 0]
     if not nonzero:
         raise InvalidInputError("no nonzero vectors supplied")
     embedding = build_support_map(space, family, alpha)
-    ratios = [c.ratio for c in verify_sandwich(nonzero, embedding, tolerances)]
+    ratios = [c.ratio for c in verify_sandwich(nonzero, embedding)]
     worst = ratios.index(max(ratios))  # the first maximum
     return EmbeddingReport(
         lower=min(ratios),

@@ -18,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import tolerances
 from .embed import FiniteSequence, build_support_map, structured_vectors, verify_sandwich
 from .errors import PairSearchFailure, WbsLabError
 # perfbench/tracing.py wraps holder_seminorm and pair_bump under this module's names
@@ -25,7 +26,6 @@ from .holder import holder_seminorm, pair_bump  # noqa: F401
 from .inputs import EXPERIMENT_NAMES
 from .metric import find_pair_family
 from .samples import bundled_spaces
-from .tolerances import DEFAULT_TOLERANCES, Tolerances
 from .weaknull import SequenceOracle, Subsequence, certify_not_cesaro_null
 
 __all__ = ["ExperimentConfig", "ExperimentResult", "run_experiment", "EXPERIMENT_NAMES"]
@@ -37,14 +37,13 @@ CESARO_N_VALUES = (1, 2, 4, 8, 16, 32)
 class ExperimentConfig:
     seed: int = 0
     enumeration: str = "canonical"
-    tolerances: Tolerances = DEFAULT_TOLERANCES
     out_dir: Path | None = None
 
     def to_json(self) -> dict:
         return {
             "seed": self.seed,
             "enumeration": self.enumeration,
-            "tolerances": asdict(self.tolerances),
+            "tolerances": asdict(tolerances.DEFAULT_TOLERANCES),
         }
 
 
@@ -121,7 +120,7 @@ def _sandwich_suite(config: ExperimentConfig) -> ExperimentResult:
     """Seminorm bounds and two-sided embedding bounds over the battery."""
     result = ExperimentResult("sandwich-suite", ok=True, config=config)
     rng = np.random.default_rng(config.seed)
-    slack = config.tolerances.float_slack
+    slack = tolerances.DEFAULT_TOLERANCES.float_slack
     for name, space, family, alpha in _instance_battery(config):
         embedding = build_support_map(space, family, alpha)
         # the images of the unit vectors are the pair bumps themselves
@@ -136,9 +135,7 @@ def _sandwich_suite(config: ExperimentConfig) -> ExperimentResult:
             for _ in range(20)
         ]
         nonzero = [vec for vec in vectors if vec.sup_value != 0]
-        checks = verify_sandwich(
-            nonzero, embedding, tolerances=config.tolerances, raise_on_violation=False
-        )
+        checks = verify_sandwich(nonzero, embedding, raise_on_violation=False)
         ratios = [check.ratio for check in checks]
         sandwich_ok = True
         for vec, check in zip(nonzero, checks):

@@ -25,9 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import tolerances
 from .errors import InvalidInputError
 from .metric import FiniteMetricSpace, _float_array, validate_separation
-from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
 __all__ = [
     "ScalarField",
@@ -82,11 +82,6 @@ class ScalarField:
         return tuple(
             self.space.labels[i] for i in np.nonzero(self.values != 0.0)[0]
         )
-
-    def restrict(self, subset) -> "ScalarField":
-        sub = self.space.restrict(subset)
-        idx = [self.space.index(l) for l in subset]
-        return ScalarField(sub, self.values[idx])
 
     def to_json(self) -> dict:
         return {"labels": list(self.space.labels), "values": self.values.tolist()}
@@ -153,12 +148,7 @@ def tent_bump(space: FiniteMetricSpace, center: str, epsilon: float) -> ScalarFi
     return ScalarField(space, np.maximum(1.0 - d / epsilon, 0.0))
 
 
-def power_diff_check(
-    a: float,
-    b: float,
-    alpha: float,
-    tolerances: Tolerances = DEFAULT_TOLERANCES,
-) -> bool:
+def power_diff_check(a: float, b: float, alpha: float) -> bool:
     """Whether |a**alpha - b**alpha| <= |a - b|**alpha within float slack.
 
     The inequality is a theorem for nonnegative a, b and 0 < alpha <= 1;
@@ -169,5 +159,5 @@ def power_diff_check(
     if a < 0 or b < 0:
         raise InvalidInputError(f"operands must be nonnegative, got {a}, {b}")
     pa, pb = a**alpha, b**alpha
-    slack = tolerances.float_slack * max(1.0, pa, pb)
+    slack = tolerances.DEFAULT_TOLERANCES.float_slack * max(1.0, pa, pb)
     return abs(pa - pb) <= abs(a - b) ** alpha + slack

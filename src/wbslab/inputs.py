@@ -17,7 +17,7 @@ from pathlib import Path
 from .errors import InvalidInputError
 
 __all__ = [
-    "EXPERIMENT_NAMES", "cell_masses", "existing_file", "from_decimal", "load_json",
+    "EXPERIMENT_NAMES", "cell_masses", "existing_file", "from_decimal", "json_type", "load_json",
     "parse_json", "to_decimal",
 ]
 
@@ -83,6 +83,17 @@ def parse_json(text: str):
         return json.loads(text, parse_int=from_decimal)
     except RecursionError:
         raise InvalidInputError("JSON nested too deeply to parse") from None
+
+
+_JSON_TYPES = {
+    type(None): "null", bool: "boolean", dict: "object", list: "array", str: "string",
+    int: "number", float: "number",
+}
+
+
+def json_type(value) -> str:
+    """The JSON name of a parsed value's type, for messages that refuse it."""
+    return _JSON_TYPES.get(type(value), type(value).__name__)
 
 
 def load_json(source):

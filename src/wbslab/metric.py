@@ -19,9 +19,9 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from . import tolerances
 from .errors import InvalidInputError, PairSearchFailure
-from .inputs import load_json
-from .tolerances import DEFAULT_TOLERANCES, Tolerances
+from .inputs import json_type, load_json
 
 __all__ = [
     "FiniteMetricSpace",
@@ -68,15 +68,14 @@ class ValidationReport:
 def validate_metric(
     dist,
     labels: Sequence[str] | None = None,
-    tolerances: Tolerances = DEFAULT_TOLERANCES,
     max_reported: int = 50,
 ) -> ValidationReport:
     """Check the metric axioms on a raw square matrix.
 
     Returns a report listing every violated axiom with the offending
     points (capped at max_reported entries).  Non-square input, NaN or
-    infinite entries, labels that are not one distinct name per row and a
-    negative triangle_rel raise immediately.
+    infinite entries and labels that are not one distinct name per row
+    raise immediately.
 
     A triangle violation is d_ij - b > triangle_rel * max(b, 1) for some
     b = d_ik + d_kj (the slack spares float Euclidean clouds).  Only
@@ -90,9 +89,7 @@ def validate_metric(
     with i < j, up to the cap.
     """
     arr, labels = _metric_input(dist, labels)
-    rel = tolerances.triangle_rel
-    if not rel >= 0:
-        raise InvalidInputError(f"triangle_rel must be >= 0, got {rel}")
+    rel = tolerances.DEFAULT_TOLERANCES.triangle_rel
     n = arr.shape[0]
 
     report = ValidationReport(checked_triples=n * n * n)
@@ -197,7 +194,7 @@ def _point_distances(points, metric: str = "euclidean") -> np.ndarray:
 def space_input(data) -> tuple:
     """The (matrix, labels) a space JSON object describes, unchecked."""
     if not isinstance(data, dict):
-        raise InvalidInputError(f"space JSON must be an object, got {type(data).__name__}")
+        raise InvalidInputError(f"space JSON must be an object, got {json_type(data)}")
     labels = data.get("labels")
     if "matrix" in data:
         return data["matrix"], labels
@@ -243,14 +240,6 @@ class FiniteMetricSpace:
         """m x n mask: row i marks the points strictly inside B(centers[i], radii[i])."""
         rows = self.dist.take([self.index(c) for c in centers], axis=0)
         return rows < np.asarray(radii, dtype=float).reshape(-1, 1)
-
-    def restrict(self, subset: Sequence[str]) -> "FiniteMetricSpace":
-        """The induced submatrix on the given labels, in the given order."""
-        idx = [self.index(l) for l in subset]
-        if len(set(idx)) != len(idx):
-            raise InvalidInputError("subset labels must be distinct")
-        sub = self.dist[np.ix_(idx, idx)]
-        return FiniteMetricSpace(sub, tuple(subset), validate=False)
 
     # ---- constructors ---------------------------------------------------
 

@@ -79,10 +79,6 @@ class SchreierSet:
     def __iter__(self) -> Iterator[int]:
         return iter(self.elements)
 
-    def order_key(self) -> tuple[int, tuple[int, ...]]:
-        """Sort key realizing the canonical (grade, lex) order."""
-        return (self.maximum, self.elements)
-
     def to_json(self) -> list[int]:
         return list(self.elements)
 

@@ -1,14 +1,13 @@
 """Single home for every floating-point tolerance used by the package.
 
-All comparisons that involve floats go through one of these knobs; exact
-certificates (rational Cesaro means, big-integer ranks) use none.
+Each float check reads its slack from `DEFAULT_TOLERANCES` when it runs;
+no caller, flag or parameter overrides them.  Exact certificates
+(rational Cesaro means, big-integer ranks) use none.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-
-from .errors import InvalidInputError
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -21,15 +20,6 @@ class Tolerances:
     float_slack: float = 1e-12
     # relative slack on the two-sided embedding norm bounds
     sandwich_rel: float = 1e-9
-
-    def with_overrides(self, **kwargs: float) -> "Tolerances":
-        unknown = set(kwargs) - set(self.__dataclass_fields__)
-        if unknown:
-            raise InvalidInputError(
-                f"unknown tolerance name(s): {sorted(unknown)}; "
-                f"choose from {sorted(self.__dataclass_fields__)}"
-            )
-        return replace(self, **kwargs)
 
 
 DEFAULT_TOLERANCES = Tolerances()

@@ -50,6 +50,11 @@ def brute_force_schreier(max_value: int) -> list[tuple[int, ...]]:
     return sorted(sets, key=lambda t: (t[-1], t))
 
 
+def order_key(s) -> tuple[int, tuple[int, ...]]:
+    """Sort key of a SchreierSet realizing the canonical (grade, lex) order."""
+    return (s.maximum, s.elements)
+
+
 def brute_force_schreier_alt(max_value: int) -> list[tuple[int, ...]]:
     """Same grading, each grade reversed."""
     out = []
@@ -184,6 +189,28 @@ class ReferenceCountCache:
         return self.hits, self.misses, len(self.entries), self.nbytes
 
 
+# ---- sub-spaces and restricted fields ----------------------------------------
+
+
+def restrict_space(space, subset):
+    """The induced submatrix on the given labels, in the given order, unvalidated."""
+    from wbslab.errors import InvalidInputError
+    from wbslab.metric import FiniteMetricSpace
+
+    idx = [space.index(label) for label in subset]
+    if len(set(idx)) != len(idx):
+        raise InvalidInputError("subset labels must be distinct")
+    return FiniteMetricSpace(space.dist[np.ix_(idx, idx)], tuple(subset), validate=False)
+
+
+def restrict_field(f, subset):
+    """The field's values on the sub-space of the given labels."""
+    from wbslab.holder import ScalarField
+
+    idx = [f.space.index(label) for label in subset]
+    return ScalarField(restrict_space(f.space, subset), f.values[idx])
+
+
 # ---- separated pair families by triple loops ---------------------------------
 
 
@@ -256,12 +283,12 @@ def reference_verify_pair_family(space, family):
 # conflict mask; they must reproduce these reports and families exactly.
 
 
-def reference_validate_metric(dist, labels=None, tolerances=None, max_reported=50):
+def reference_validate_metric(dist, labels=None, max_reported=50):
     """One n x n pass per intermediate point k, reported k-major."""
+    from wbslab import tolerances
     from wbslab.metric import MetricViolation, ValidationReport, default_labels
-    from wbslab.tolerances import DEFAULT_TOLERANCES
 
-    rel = (tolerances or DEFAULT_TOLERANCES).triangle_rel
+    rel = tolerances.DEFAULT_TOLERANCES.triangle_rel
     arr = np.asarray(dist, dtype=float)
     n = arr.shape[0]
     labels = default_labels(n) if labels is None else labels
@@ -382,14 +409,14 @@ def reference_sandwich_norms(vectors, space, family, alpha):
     )
 
 
-def reference_distortion_report(space, family, alpha, vectors, tolerances=None):
+def reference_distortion_report(space, family, alpha, vectors):
     """The per-vector loop: certify each nonzero vector, then summarize."""
+    from wbslab import tolerances
     from wbslab.embed import EmbeddingReport, build_support_map
     from wbslab.errors import CertificateViolationError, InvalidInputError
     from wbslab.holder import ScalarField, holder_norm
-    from wbslab.tolerances import DEFAULT_TOLERANCES
 
-    slack = (tolerances or DEFAULT_TOLERANCES).sandwich_rel
+    slack = tolerances.DEFAULT_TOLERANCES.sandwich_rel
     nonzero = [a for a in vectors if a.sup_value != 0]
     if not nonzero:
         raise InvalidInputError("no nonzero vectors supplied")
@@ -447,6 +474,26 @@ def reference_bump_worst(space, family, alpha):
 # interval are nested and exact.
 
 Triple = tuple[int, int, int]
+
+
+def derived_set(o):
+    """Ordinal of the derived interval: limit ordinals of (0, o].
+
+    Zero encodes the empty space.  Finite exponents decrement, infinite
+    exponents are fixed points of the decrement, the finite part drops.
+    Iterating it is the oracle for the closed form `classify.cb_rank`.
+    """
+    from wbslab.classify import Ordinal
+
+    new_terms = []
+    for e, c in o.terms:
+        if e.is_zero:
+            continue  # isolated finite tail
+        if e.is_finite:
+            new_terms.append((Ordinal.from_int(e.as_int() - 1), c))
+        else:
+            new_terms.append((e, c))
+    return Ordinal(tuple(new_terms))
 
 
 def triple_add(a: Triple, b: Triple) -> Triple:

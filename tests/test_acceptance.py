@@ -23,7 +23,6 @@ from wbslab.classify import (
     classify_cb,
     classify_c_of_ordinal,
     classify_linf,
-    derived_set,
     parse_ordinal,
 )
 from wbslab.embed import (
@@ -43,6 +42,7 @@ from wbslab.weaknull import SequenceOracle, Subsequence, certify_not_cesaro_null
 
 from oracles import (
     brute_force_schreier,
+    derived_set,
     detect_limit_points,
     omega_times,
     triple_is_limit,

@@ -16,12 +16,12 @@ from wbslab.classify import (
     classify_cb,
     classify_c_of_ordinal,
     classify_linf,
-    derived_set,
     parse_ordinal,
 )
 from wbslab.errors import InvalidInputError
 
 from oracles import (
+    derived_set,
     detect_limit_points,
     embed_interval,
     omega_times,

@@ -24,11 +24,12 @@ from wbslab.embed import (
     tent_images,
     verify_sandwich,
 )
-from wbslab.errors import InvalidInputError, WbsLabError
+from wbslab.errors import WbsLabError
 from wbslab.holder import pair_bump, tent_bump
 from wbslab.metric import SeparatedPairFamily, find_pair_family, load_space
 from wbslab.schreier import count_max_at_most
 
+from golden.regenerate import tour_lines
 from oracles import int_digit_limit
 
 
@@ -257,9 +258,11 @@ class TestMetricAndPairs:
         # values the library rejects
         ["cesaro", "certify", "--subsequence", "affine:x", "--N", "2"],
         ["cesaro", "certify", "--subsequence", "geometric:x", "--N", "2"],
+        # the deleted --tolerance flag, on the action that once read it
         ["metric", "validate", "{space}", "--tolerance", "nope=1"],
         ["metric", "validate", "{space}", "--tolerance", "triangle_rel=abc"],
         ["metric", "validate", "{space}", "--tolerance", "triangle_rel"],
+        # values the library rejects
         ["embed", "linf", "--masses", "1,2", "--vector", "random:1:0"],
         ["embed", "cb", "{space}", "--centers", "p0", "--radii", "0.4", "--vector", "random:1:0"],
         ["holder", "bump", "{space}", "--pair", "p0,p1,p2"],
@@ -380,25 +383,26 @@ ACTIONS = [
     (["schreier", "rank", "3,4,5"], {"--enumeration"}),
     (["schreier", "count", "5"], set()),
     (["cesaro", "certify", "--subsequence", "identity", "--N", "2"], {"--enumeration", "--seed"}),
-    (["metric", "validate", "S"], {"--tolerance"}),
+    (["metric", "validate", "S"], set()),
     (["pairs", "find", "S"], set()),
     (["pairs", "verify", "S", "F"], set()),
     (["holder", "seminorm", "S", "F"], set()),
     (["holder", "bump", "S"], set()),
-    (["embed", "holder", "S", "F"], {"--seed", "--tolerance"}),
+    (["embed", "holder", "S", "F"], {"--seed"}),
     (["embed", "cb", "S", "--centers", "p0", "--radii", "1"], {"--seed"}),
     (["embed", "linf", "--masses", "1"], {"--seed"}),
     (["classify", "calpha"], set()),
     (["classify", "cb"], set()),
     (["classify", "linf", "--masses", "1"], set()),
     (["classify", "ordinal", "w"], set()),
-    (["experiment", "run", "all"], {"--seed", "--enumeration", "--tolerance"}),
+    (["experiment", "run", "all"], {"--seed", "--enumeration"}),
 ]
+# --tolerance is read by no action: the float slacks are pinned
 SHARED_FLAGS = {"--seed": "3", "--enumeration": "alt", "--tolerance": "float_slack=1e-9"}
 
 
 @pytest.mark.parametrize("argv, reads", ACTIONS, ids=[" ".join(argv[:2]) for argv, _ in ACTIONS])
-def test_shared_flags_only_where_read(argv, reads):
+def test_shared_flags_only_where_read(capsys, argv, reads):
     parser = build_parser()
     args = parser.parse_args(argv + ["--out", "report.json"])
     assert args.out == Path("report.json") and callable(args.handler)
@@ -406,19 +410,51 @@ def test_shared_flags_only_where_read(argv, reads):
         if flag in reads:
             parser.parse_args(argv + [flag, value])
         else:
-            with pytest.raises(InvalidInputError, match=f"unrecognized arguments: {flag}"):
-                parser.parse_args(argv + [flag, value])
+            error, message = failure(capsys, argv + [flag, value])
+            assert error == "InvalidInputError"
+            assert message == f"wbslab {argv[0]} {argv[1]}: unrecognized arguments: {flag} {value}"
 
 
-def _readme_tour() -> list[list[str]]:
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    tour = readme.split("## CLI tour", 1)[1].split("\n## ", 1)[0]
-    lines = [line for line in tour.splitlines() if line.startswith("wbslab ")]
-    return [shlex.split(line, comments=True)[1:] for line in lines]
+def test_triangle_slack_cannot_be_widened(capsys):
+    # d(p0, p2) = 9 > 1 + 1 breaks the triangle inequality by 7
+    space = '{"matrix": [[0, 1, 9], [1, 0, 1], [9, 1, 0]]}'
+    code, payload = run_cli(capsys, "metric", "validate", space)
+    assert code == 1 and not payload["ok"]
+    assert [(v["kind"], v["points"]) for v in payload["violations"]] == [("triangle", ["p0", "p1", "p2"])]
+    assert failure(capsys, ["metric", "validate", space, "--tolerance", "triangle_rel=10"]) == (
+        "InvalidInputError", "wbslab metric validate: unrecognized arguments: --tolerance triangle_rel=10",
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["schreier", "rank", "[3, null, 5]"], "expected a decimal integer, got JSON null"),
+        (["pairs", "find", "[1, 2]"], "space JSON must be an object, got array"),
+        (["metric", "validate", '"x"'], "space JSON must be an object, got string"),
+    ],
+)
+def test_refusals_name_json_types(capsys, argv, message):
+    assert failure(capsys, argv) == ("InvalidInputError", message)
+
+
+def test_closed_stdout_is_a_json_error(tmp_path):
+    # like `wbslab schreier count 1000000 | head -c 20`: the 209k-digit
+    # count overfills the pipe, and the reader leaves after 20 bytes
+    child = subprocess.Popen(
+        [sys.executable, "-m", "wbslab.cli", "schreier", "count", "1000000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    assert len(child.stdout.read(20)) == 20
+    child.stdout.close()
+    err = child.stderr.read().decode()
+    assert child.wait() == 2
+    assert "Traceback" not in err and "Exception ignored" not in err
+    assert json.loads(err)["error"] == "BrokenPipeError"
 
 
 def test_readme_tour_parses():
-    calls = _readme_tour()
+    calls = [shlex.split(line, comments=True)[1:] for line in tour_lines()]
     assert len(calls) >= 20
     for argv in calls:
         args = build_parser().parse_args(argv)
@@ -775,13 +811,13 @@ def test_rules_keep_their_check_order(capsys, space_file):
 @pytest.mark.parametrize(
     "terms, message",
     [
-        ({"a": 1}, "a term file must hold a JSON array of integers, got JSON dict"),
-        (5, "a term file must hold a JSON array of integers, got JSON int"),
-        (None, "a term file must hold a JSON array of integers, got JSON NoneType"),
+        ({"a": 1}, "a term file must hold a JSON array of integers, got JSON object"),
+        (5, "a term file must hold a JSON array of integers, got JSON number"),
+        (None, "a term file must hold a JSON array of integers, got JSON null"),
         (["x", 2], "expected a decimal integer, got 'x'"),
-        ([[1], [2]], "expected a decimal integer, got JSON list"),
-        ([1.5, 2.5, 3.5, 4.5], "expected a decimal integer, got JSON float"),
-        ([True, 2, 3], "expected a decimal integer, got JSON bool"),
+        ([[1], [2]], "expected a decimal integer, got JSON array"),
+        ([1.5, 2.5, 3.5, 4.5], "expected a decimal integer, got JSON number"),
+        ([True, 2, 3], "expected a decimal integer, got JSON boolean"),
     ],
     ids=["object", "number", "null", "text", "nested", "floats", "bool"],
 )

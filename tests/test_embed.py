@@ -35,6 +35,7 @@ from wbslab.metric import (
     SeparatedPairFamily,
     find_pair_family,
 )
+from wbslab import tolerances
 from wbslab.samples import harmonic_with_zero, line_grid
 from wbslab.tolerances import Tolerances
 
@@ -76,10 +77,10 @@ def _vectors(data, m: int, max_size: int) -> list[FiniteSequence]:
     return data.draw(st.lists(entries, min_size=1, max_size=max_size))
 
 
-def _outcome(fn, *args, **kwargs):
+def _outcome(fn, *args):
     """The result, or the type, message and witness of the error raised."""
     try:
-        return fn(*args, **kwargs)
+        return fn(*args)
     except (CertificateViolationError, InvalidInputError) as exc:
         return type(exc), str(exc), getattr(exc, "witness", None)
 
@@ -227,17 +228,15 @@ class TestSandwich:
         assert report.samples == len(vectors)
         assert report.worst_vector.sup_value > 0
 
-    def test_violation_raises_with_witness(self, harmonic_setup):
+    def test_violation_raises_with_witness(self, harmonic_setup, monkeypatch):
         space, family = harmonic_setup
-        from wbslab.tolerances import Tolerances
-
-        # impossible negative slack forces a reported violation
-        broken = Tolerances(sandwich_rel=-1.0)
+        # impossible negative slack, patched into the pinned record, forces
+        # a reported violation
+        monkeypatch.setattr(tolerances, "DEFAULT_TOLERANCES", Tolerances(sandwich_rel=-1.0))
         with pytest.raises(CertificateViolationError) as exc:
             verify_sandwich(
                 [FiniteSequence.unit(0, len(family))],
                 build_support_map(space, family, 0.5),
-                tolerances=broken,
             )
         assert isinstance(exc.value.witness, FiniteSequence)
 
@@ -347,17 +346,18 @@ class TestBatchKernel:
         st.data(),
     )
     def test_report_matches_reference(self, kind, n, K, alpha, seed, slack, data):
-        # a negative slack forces violations part way through the batch
+        # a negative slack, patched into the pinned record, forces
+        # violations part way through the batch
         space = _space(kind, n, seed)
         family = _family(space, K)
         vectors = _vectors(data, len(family), 8)
         # exact ties for the largest ratio: repeats and negations
         for a in data.draw(st.lists(st.sampled_from(vectors), max_size=3)):
             vectors += [a, FiniteSequence(tuple(-v for v in a.entries))]
-        tolerances = None if slack is None else Tolerances(sandwich_rel=slack)
-        kwargs = {} if tolerances is None else {"tolerances": tolerances}
-        expected = _outcome(reference_distortion_report, space, family, alpha, vectors, tolerances)
-        got = _outcome(distortion_report, space, family, alpha, vectors, **kwargs)
+        record = Tolerances(sandwich_rel=slack)
+        with nullcontext() if slack is None else patch.object(tolerances, "DEFAULT_TOLERANCES", record):
+            expected = _outcome(reference_distortion_report, space, family, alpha, vectors)
+            got = _outcome(distortion_report, space, family, alpha, vectors)
         if isinstance(expected, tuple):
             assert got[:2] == expected[:2] and got[2] is expected[2]
             assert "np.float64" not in got[1]

@@ -5,7 +5,7 @@ import json
 import numpy as np
 
 from oracles import reference_bump_worst, reference_sandwich_norms
-from wbslab import embed, experiments
+from wbslab import embed, experiments, tolerances
 from wbslab.embed import FiniteSequence, structured_vectors
 from wbslab.experiments import EXPERIMENT_NAMES, ExperimentConfig, run_experiment
 from wbslab.tolerances import Tolerances
@@ -55,10 +55,12 @@ def test_alt_enumeration_config():
     assert result.ok
 
 
-def test_sandwich_suite_collects_every_failure():
-    # a negative slack fails both bounds for every nonzero vector; the
-    # suite lists them all, in order, instead of raising at the first
-    config = ExperimentConfig(seed=3, tolerances=Tolerances(sandwich_rel=-1.0))
+def test_sandwich_suite_collects_every_failure(monkeypatch):
+    # a negative slack, patched into the pinned record, fails both bounds
+    # for every nonzero vector; the suite lists them all, in order,
+    # instead of raising at the first
+    monkeypatch.setattr(tolerances, "DEFAULT_TOLERANCES", Tolerances(sandwich_rel=-1.0))
+    config = ExperimentConfig(seed=3)
     result = run_experiment("sandwich-suite", config)
     assert not result.ok and not any(row["ok"] for row in result.rows)
     rng = np.random.default_rng(config.seed)
@@ -98,13 +100,14 @@ def test_sandwich_suite_certifies_one_batch_per_instance(monkeypatch):
     assert len(calls) == len(result.rows) == 72
 
 
-def test_sandwich_suite_bump_norms_match_the_per_pair_loop():
-    # a float_slack of -2 fails every bump check, so every instance lists
-    # its sup_worst; the battery and every other number are unchanged
-    tolerances = Tolerances(float_slack=-2.0)
+def test_sandwich_suite_bump_norms_match_the_per_pair_loop(monkeypatch):
+    # a float_slack of -2, patched into the pinned record, fails every
+    # bump check, so every instance lists its sup_worst; the battery and
+    # every other number are unchanged
+    monkeypatch.setattr(tolerances, "DEFAULT_TOLERANCES", Tolerances(float_slack=-2.0))
     instances = 0
     for seed in range(6):
-        config = ExperimentConfig(seed=seed, tolerances=tolerances)
+        config = ExperimentConfig(seed=seed)
         result = run_experiment("sandwich-suite", config)
         bump_failures = [f for f in result.failures if "sup_worst" in f]
         battery = experiments._instance_battery(config)
