@@ -26,7 +26,7 @@ from collections.abc import Iterator
 from pathlib import Path
 
 from .errors import InvalidInputError, PairSearchFailure, WbsLabError
-from .inputs import EXPERIMENT_NAMES, existing_file, from_decimal, json_type, load_json, parse_json, to_decimal
+from .inputs import EXPERIMENT_NAMES, existing_file, json_type, load_json, parse_int, parse_json, to_decimal
 from .schreier import ENUMERATION_NAMES, SchreierSet, count_max_at_most, get_enumeration
 
 
@@ -57,18 +57,6 @@ def _emit(args, payload: dict, ok: bool = True) -> int:
     return 0 if ok else 1
 
 
-def _parse_int(value) -> int:
-    """A decimal text or JSON integer of any length (unrank takes ranks of 10^5 digits)."""
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    if not isinstance(value, str):
-        raise InvalidInputError(f"expected a decimal integer, got JSON {json_type(value)}")
-    try:
-        return from_decimal(value)
-    except ValueError:
-        raise InvalidInputError(f"expected a decimal integer, got {value[:40]!r}") from None
-
-
 def _parse_floats(values) -> tuple[float, ...]:
     try:
         return tuple(float(v) for v in values)
@@ -89,7 +77,7 @@ def _parse_set(text: str) -> SchreierSet:
         values = parse_json(text)
     else:
         values = [p for p in text.split(",") if p.strip()]
-    return SchreierSet.from_iterable(_parse_int(v) for v in values)
+    return SchreierSet.from_iterable(values)
 
 
 def _parse_vectors(text: str, length: int, seed: int) -> Iterator:
@@ -100,8 +88,8 @@ def _parse_vectors(text: str, length: int, seed: int) -> Iterator:
 
     if text.startswith("random:"):
         parts = text.split(":")[1:]
-        vec_seed = _parse_int(parts[0]) if parts and parts[0] else seed
-        count = _parse_int(parts[1]) if len(parts) > 1 else 20
+        vec_seed = parse_int(parts[0]) if parts and parts[0] else seed
+        count = parse_int(parts[1]) if len(parts) > 1 else 20
         if vec_seed < 0 or count < 1:
             raise InvalidInputError(f"random:SEED[:COUNT] needs SEED >= 0 and COUNT >= 1: {text!r}")
         rng = np.random.default_rng(vec_seed)
@@ -118,7 +106,7 @@ def _parse_vectors(text: str, length: int, seed: int) -> Iterator:
 
 def _cmd_unrank(args) -> int:
     enum = get_enumeration(args.enumeration)
-    s = enum.unrank(_parse_int(args.rank))
+    s = enum.unrank(parse_int(args.rank))
     return _emit(args, {"rank": args.rank, "set": s.to_json(), "enumeration": enum.name})
 
 
@@ -130,7 +118,7 @@ def _cmd_rank(args) -> int:
 
 
 def _cmd_count(args) -> int:
-    n = _parse_int(args.n)
+    n = parse_int(args.n)
     count = to_decimal(count_max_at_most(n))
     return _emit(args, {"n": n, "count_max_at_most": count})
 
@@ -144,7 +132,7 @@ def _cmd_certify(args) -> int:
         if not isinstance(terms, list):
             kind = json_type(terms)
             raise InvalidInputError(f"a term file must hold a JSON array of integers, got JSON {kind}")
-        sub = Subsequence.from_terms([_parse_int(v) for v in terms])
+        sub = Subsequence.from_terms(terms)
     else:
         sub = Subsequence.parse(args.subsequence)
     cert = certify_not_cesaro_null(sub, args.N, oracle=SequenceOracle(args.enumeration))

@@ -4,7 +4,8 @@ The CLI builds its parser from these names before it knows which action
 runs, so they live apart from the array modules that only some actions
 load.  Every big integer crosses text here, through `to_decimal` and
 `from_decimal`, whatever CPython's int/str digit limit is set to, and
-every JSON argument through `parse_json`.
+every JSON argument through `parse_json`.  Every integer argument of
+the exact half, from the CLI or a library caller, is read by `parse_int`.
 """
 
 from __future__ import annotations
@@ -12,13 +13,14 @@ from __future__ import annotations
 import json
 import math
 from functools import cache
+from numbers import Integral
 from pathlib import Path
 
 from .errors import InvalidInputError
 
 __all__ = [
     "EXPERIMENT_NAMES", "cell_masses", "existing_file", "from_decimal", "json_type", "load_json",
-    "parse_json", "to_decimal",
+    "parse_int", "parse_ints", "parse_json", "to_decimal",
 ]
 
 # The suites ``experiments.run_experiment`` runs, in run order.
@@ -94,6 +96,32 @@ _JSON_TYPES = {
 def json_type(value) -> str:
     """The JSON name of a parsed value's type, for messages that refuse it."""
     return _JSON_TYPES.get(type(value), type(value).__name__)
+
+
+def parse_int(value) -> int:
+    """An Integral that is not a bool, or a decimal text of any length.
+
+    Anything else, floats included, is refused rather than truncated.
+    """
+    if isinstance(value, Integral) and not isinstance(value, bool):
+        return int(value)
+    if not isinstance(value, str):
+        raise InvalidInputError(f"expected a decimal integer, got JSON {json_type(value)}")
+    try:
+        return from_decimal(value)
+    except ValueError:
+        raise InvalidInputError(f"expected a decimal integer, got {value[:40]!r}") from None
+
+
+_PLAIN_INT = frozenset((int,))
+
+
+def parse_ints(values) -> tuple[int, ...]:
+    """parse_int of each value; values that are all plain ints pass in one C-level pass."""
+    values = tuple(values)
+    if _PLAIN_INT.issuperset(map(type, values)):
+        return values
+    return tuple(map(parse_int, values))
 
 
 def load_json(source):

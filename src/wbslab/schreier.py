@@ -18,14 +18,16 @@ from __future__ import annotations
 
 import math
 import sys
+from bisect import bisect_left
 from collections import OrderedDict, namedtuple
 from dataclasses import dataclass
-from itertools import takewhile
+from itertools import islice, takewhile
 from math import comb
+from operator import lt
 from typing import Iterable, Iterator
 
 from .errors import InvalidInputError
-from .inputs import to_decimal
+from .inputs import parse_int, parse_ints, to_decimal
 
 __all__ = [
     "SchreierSet",
@@ -45,13 +47,15 @@ class SchreierSet:
     elements: tuple[int, ...]
 
     def __post_init__(self):
-        elems = tuple(int(e) for e in self.elements)
+        elems = parse_ints(self.elements)
         object.__setattr__(self, "elements", elems)
         if not elems:
             raise InvalidInputError("a maximal Schreier set is nonempty")
-        if any(e < 1 for e in elems):
+        increasing = all(map(lt, elems, islice(elems, 1, None)))
+        # an increasing tuple is positive iff its first element is
+        if (elems[0] if increasing else min(elems)) < 1:
             raise InvalidInputError(f"elements must be positive integers: {_listed(elems)}")
-        if any(a >= b for a, b in zip(elems, elems[1:])):
+        if not increasing:
             raise InvalidInputError(f"elements must be strictly increasing: {_listed(elems)}")
         if len(elems) != elems[0]:
             raise InvalidInputError(
@@ -60,7 +64,7 @@ class SchreierSet:
 
     @classmethod
     def from_iterable(cls, values: Iterable[int]) -> "SchreierSet":
-        return cls(tuple(sorted(set(int(v) for v in values))))
+        return cls(tuple(sorted(set(parse_ints(values)))))
 
     @property
     def minimum(self) -> int:
@@ -95,8 +99,8 @@ def is_maximal_schreier(candidate: Iterable[int]) -> bool:
     Raises InvalidInputError when any element is not a positive integer;
     an empty candidate is simply not a member of the family.
     """
-    values = sorted(set(int(v) for v in candidate))
-    if any(v < 1 for v in values):
+    values = sorted(set(parse_ints(candidate)))
+    if values and values[0] < 1:
         raise InvalidInputError(f"elements must be positive integers: {_listed(values)}")
     if not values:
         return False
@@ -230,7 +234,7 @@ def count_max_at_most(n: int) -> int:
     ``cache_info()`` and ``cache_clear()`` inspect and empty the
     memory-bounded cache behind it.
     """
-    n = int(n)
+    n = parse_int(n)
     if n < 1:
         raise InvalidInputError(f"n must be >= 1, got {to_decimal(n)}")
     if n > _MAX_GRADE:
@@ -264,11 +268,19 @@ def _comb_lex_rank(lo: int, hi: int, chosen: tuple[int, ...]) -> int:
     elements with two binomials instead of one per skipped value:
     choosing c after the values below v are settled skips
     C(hi - v + 1, r) - C(hi - c + 1, r) subsets, r counting c itself.
+    An element right after the previous one skips nothing, so the walk
+    stops at the first element of the final run of consecutive values,
+    found by bisection: chosen[i] - i never decreases and is constant
+    along that run.
     """
+    k = len(chosen)
+    if not k:
+        return 0
+    run = bisect_left(range(k), chosen[-1] - k + 1, key=lambda i: chosen[i] - i)
     rank = 0
     v = lo
-    top = comb(hi - lo + 1, len(chosen))  # C(hi - v + 1, r)
-    for r, c in zip(range(len(chosen), 0, -1), chosen):
+    top = comb(hi - lo + 1, k)  # C(hi - v + 1, r)
+    for r, c in zip(range(k, 0, -1), islice(chosen, run + 1)):
         if c - v > _RATIO_STEPS:
             cur = comb(hi - c + 1, r)
         else:
@@ -305,7 +317,8 @@ def _comb_lex_unrank(lo: int, hi: int, k: int, index: int) -> tuple[int, ...]:
     """Inverse of _comb_lex_rank.
 
     The next element is the smallest c with C(hi - c, r) < top - index,
-    where top = C(hi - v + 1, r) counts the subsets still in play.
+    where top = C(hi - v + 1, r) counts the subsets still in play.  Once
+    index is 0 the rest is the first subset in play, the run v .. v + r - 1.
     """
     top = comb(hi - lo + 1, k)
     if not 0 <= index < top:
@@ -313,6 +326,9 @@ def _comb_lex_unrank(lo: int, hi: int, k: int, index: int) -> tuple[int, ...]:
     out = []
     v = lo
     for r in range(k, 0, -1):
+        if not index:
+            out.extend(range(v, v + r))
+            break
         target = top - index
         cur = top  # C(hi - v + 1, r) >= target
         for _ in range(_RATIO_STEPS):
@@ -441,7 +457,7 @@ class CanonicalEnumeration:
 
     def unrank(self, rank: int) -> SchreierSet:
         """The rank-th maximal Schreier set (1-based)."""
-        rank = int(rank)
+        rank = parse_int(rank)
         if rank < 1:
             raise InvalidInputError(f"rank must be >= 1, got {to_decimal(rank)}")
         n = _grade_of_rank(rank)

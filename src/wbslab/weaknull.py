@@ -26,14 +26,16 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from itertools import accumulate, chain, count, islice, repeat
+from operator import lt, mul
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     CertificateViolationError,
     InvalidInputError,
     NeedsMoreDataError,
 )
-from .inputs import from_decimal, to_decimal
+from .inputs import from_decimal, parse_int, parse_ints, to_decimal
 from .schreier import CanonicalEnumeration, SchreierSet, get_enumeration
 
 __all__ = [
@@ -70,6 +72,7 @@ class SequenceOracle:
         self._sets: OrderedDict[int, frozenset[int]] = OrderedDict()
 
     def coordinate_set(self, i: int) -> frozenset[int]:
+        i = parse_int(i)
         if i < 1:
             raise InvalidInputError(f"coordinate must be >= 1, got {to_decimal(i)}")
         cached = self._sets.get(i)
@@ -84,6 +87,7 @@ class SequenceOracle:
 
     def entry(self, k: int, i: int) -> int:
         """1 iff k belongs to the i-th set of the enumeration."""
+        k = parse_int(k)
         if k < 1:
             raise InvalidInputError(f"index must be >= 1, got {to_decimal(k)}")
         return 1 if k in self.coordinate_set(i) else 0
@@ -99,36 +103,48 @@ class SequenceOracle:
 class Subsequence:
     """A strictly increasing sequence of positive integers.
 
-    Represented by an explicit finite prefix plus an optional rule that
-    extends it on demand.  Without a rule, requests beyond the prefix
-    raise NeedsMoreDataError carrying the required length.
+    Represented by an explicit finite prefix plus an optional rule, an
+    endless iterator of the terms after it, drawn on demand.  Without a
+    rule, requests beyond the prefix raise NeedsMoreDataError carrying
+    the required length.
     """
 
     def __init__(
         self,
         prefix: Sequence[int] = (),
-        rule: Callable[[int], int] | None = None,
+        rule: Iterator[int] | None = None,
         description: str = "explicit",
     ):
         self._terms: list[int] = []
         self._rule = rule
         self.description = description
-        for v in prefix:
-            self._append(int(v))
+        self._extend(prefix)
 
-    def _append(self, value: int) -> None:
-        if value < 1:
-            raise InvalidInputError(f"terms must be positive, got {to_decimal(value)}")
-        if self._terms and value <= self._terms[-1]:
-            shown = f"{to_decimal(self._terms[-1])} then {to_decimal(value)}"
-            raise InvalidInputError(f"terms must be strictly increasing: {shown}")
-        self._terms.append(value)
+    def _extend(self, values: Iterable[int]) -> None:
+        """Append values, checked in one C-level pass to continue the sequence.
+
+        Only when that pass fails does the per-value walk run: it appends
+        the values before the first offender and names that one.
+        """
+        values = parse_ints(values)
+        terms = self._terms
+        if all(map(lt, chain(terms[-1:] or (0,), values), values)):
+            terms.extend(values)
+            return
+        for value in values:
+            if value < 1:
+                raise InvalidInputError(f"terms must be positive, got {to_decimal(value)}")
+            if terms and value <= terms[-1]:
+                shown = f"{to_decimal(terms[-1])} then {to_decimal(value)}"
+                raise InvalidInputError(f"terms must be strictly increasing: {shown}")
+            terms.append(value)
 
     def __len__(self) -> int:
         return len(self._terms)
 
     def term(self, j: int) -> int:
         """The j-th term, 1-based, extending via the rule if present."""
+        j = parse_int(j)
         if j < 1:
             raise InvalidInputError(f"term index must be >= 1, got {to_decimal(j)}")
         if j > DEFAULT_MAX_TERMS:
@@ -143,8 +159,7 @@ class Subsequence:
                     required=j,
                     available=len(self._terms),
                 )
-            while len(self._terms) < j:
-                self._append(int(self._rule(len(self._terms) + 1)))
+            self._extend(islice(self._rule, j - len(self._terms)))
         return self._terms[j - 1]
 
     def terms(self, n: int) -> tuple[int, ...]:
@@ -160,39 +175,41 @@ class Subsequence:
 
     @classmethod
     def identity(cls) -> "Subsequence":
-        return cls(rule=lambda j: j, description="identity")
+        return cls(rule=count(1), description="identity")
 
     @classmethod
     def affine(cls, step: int, offset: int = 0) -> "Subsequence":
-        step, offset = int(step), int(offset)
+        """The terms step * j + offset."""
+        step, offset = parse_int(step), parse_int(offset)
         s, o = to_decimal(step), to_decimal(offset)
         if step < 1 or offset < 0:
             raise InvalidInputError(f"affine rule needs step >= 1 and offset >= 0, got {s}, {o}")
-        return cls(rule=lambda j: step * j + offset, description=f"affine:{s},{o}")
+        return cls(rule=count(step + offset, step), description=f"affine:{s},{o}")
 
     @classmethod
     def geometric(cls, base: int = 1, ratio: int = 2) -> "Subsequence":
-        base, ratio = int(base), int(ratio)
+        """The terms base * ratio ** (j - 1), as a running product."""
+        base, ratio = parse_int(base), parse_int(ratio)
         b, r = to_decimal(base), to_decimal(ratio)
         if base < 1 or ratio < 2:
             raise InvalidInputError(f"geometric rule needs base >= 1 and ratio >= 2, got {b}, {r}")
-        return cls(rule=lambda j: base * ratio ** (j - 1), description=f"geometric:{b},{r}")
+        return cls(rule=accumulate(repeat(ratio), mul, initial=base), description=f"geometric:{b},{r}")
 
     @classmethod
     def seeded_increments(cls, seed: int, max_step: int = 3) -> "Subsequence":
-        """Random strictly increasing sequence with steps in 1..max_step."""
+        """Random strictly increasing sequence with steps in 1..max_step.
+
+        The terms are the running sums of rng.randint(1, max_step), drawn
+        one per term as the terms are requested.
+        """
         import random
 
+        seed, max_step = parse_int(seed), parse_int(max_step)
         if max_step < 1:
             raise InvalidInputError(f"max_step must be >= 1, got {to_decimal(max_step)}")
-        rng = random.Random(int(seed))
-        state = {"last": 0}
-
-        def rule(_j: int) -> int:
-            state["last"] += rng.randint(1, max_step)
-            return state["last"]
-
-        return cls(rule=rule, description=f"random:{to_decimal(seed)},{to_decimal(max_step)}")
+        rng = random.Random(seed)
+        steps = map(rng.randint, repeat(1), repeat(max_step))
+        return cls(rule=accumulate(steps), description=f"random:{to_decimal(seed)},{to_decimal(max_step)}")
 
     @classmethod
     def parse(cls, text: str) -> "Subsequence":
@@ -276,8 +293,9 @@ def certify_not_cesaro_null(
     the round trip returns another set or the mean ever fell below 1/2
     (which no valid input can trigger).
     """
+    N = parse_int(N)
     if N < 1:
-        raise InvalidInputError(f"N must be >= 1, got {N}")
+        raise InvalidInputError(f"N must be >= 1, got {to_decimal(N)}")
     if oracle is None:
         oracle = SequenceOracle()
     k_next = sub.term(N + 1)
@@ -299,7 +317,7 @@ def certify_not_cesaro_null(
         )
 
     first = sub.terms(2 * N)
-    hits = sum(1 for k in first if k in members)
+    hits = sum(map(members.__contains__, first))
     mean = Fraction(hits, 2 * N)
     if mean < Fraction(1, 2):
         raise CertificateViolationError(
@@ -336,7 +354,7 @@ class WeakConvergenceChallenge:
         if alpha <= 0:
             raise InvalidInputError(f"threshold must be positive, got {alpha}")
         for name in ("k_seq", "i_seq", "J_seq"):
-            seq = tuple(int(v) for v in getattr(self, name))
+            seq = parse_ints(getattr(self, name))
             object.__setattr__(self, name, seq)
             if not seq:
                 raise InvalidInputError(f"{name} must be nonempty")

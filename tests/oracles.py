@@ -10,6 +10,7 @@ limit points by nearest-neighbor shrinkage under deepening truncations.
 from __future__ import annotations
 
 import bisect
+import random
 import sys
 from collections import OrderedDict
 from contextlib import contextmanager
@@ -187,6 +188,36 @@ class ReferenceCountCache:
     def info(self) -> tuple[int, int, int, int]:
         """(hits, misses, currsize, nbytes), as in the cache's cache_info()."""
         return self.hits, self.misses, len(self.entries), self.nbytes
+
+
+# ---- subsequence rules, one term at a time ---------------------------------
+
+
+def reference_rule_terms(rule: str, n: int) -> tuple[int, ...]:
+    """The first n terms of a rule spec, each from its closed form or one draw.
+
+    Defaults as in Subsequence.parse: affine offset 0, geometric ratio 2,
+    random max_step 3.
+    """
+    name, _, args = rule.partition(":")
+    params = [int(p) for p in args.split(",") if p]
+    if name == "identity":
+        return tuple(range(1, n + 1))
+    if name == "affine":
+        step, offset = (params + [0])[:2]
+        return tuple(step * j + offset for j in range(1, n + 1))
+    if name == "geometric":
+        base, ratio = (params + [2])[:2]
+        return tuple(base * ratio ** (j - 1) for j in range(1, n + 1))
+    if name == "random":
+        seed, max_step = (params + [3])[:2]
+        rng = random.Random(seed)
+        out, last = [], 0
+        for _ in range(n):
+            last += rng.randint(1, max_step)
+            out.append(last)
+        return tuple(out)
+    raise ValueError(f"unknown rule {rule!r}")
 
 
 # ---- sub-spaces and restricted fields ----------------------------------------

@@ -1,12 +1,15 @@
-"""The decimal codec: integers of any length to text and back."""
+"""The decimal codec: integers of any length to text and back, and the integer rule."""
 
 import random
+from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wbslab.inputs import from_decimal, load_json, to_decimal
+from wbslab.errors import InvalidInputError
+from wbslab.inputs import from_decimal, load_json, parse_int, parse_ints, to_decimal
 
 from oracles import int_digit_limit
 
@@ -74,3 +77,37 @@ def test_bad_texts_are_refused(text):
 def test_load_json_reads_long_integer_literals():
     big = "9" * 5000
     assert load_json(f'{{"K": {big}, "pairs": [-{big}]}}') == {"K": 10**5000 - 1, "pairs": [1 - 10**5000]}
+
+
+@pytest.mark.parametrize(
+    "value, expected",
+    [(7, 7), (-(2**4000), -(2**4000)), (np.int64(-3), -3), (np.uint8(200), 200), ("12", 12),
+     (" +8 ", 8)],
+)
+def test_parse_int_reads_integrals_and_decimal_texts(value, expected):
+    n = parse_int(value)
+    assert n == expected and type(n) is int
+
+
+def test_parse_int_reads_texts_past_the_digit_limit():
+    with int_digit_limit(4300):
+        assert parse_int("9" * 5000) == 10**5000 - 1
+
+
+@pytest.mark.parametrize(
+    "value, message",
+    [(True, "got JSON boolean"), (np.True_, "got JSON bool_?"), (2.0, "got JSON number"),
+     (None, "got JSON null"), (Fraction(4, 2), "got JSON Fraction"), ("2.5", "got '2.5'"),
+     ("9" * 50 + ".", "got '" + "9" * 40 + "'")],
+)
+def test_parse_int_refuses_everything_else(value, message):
+    with pytest.raises(InvalidInputError, match=f"^expected a decimal integer, {message}$"):
+        parse_int(value)
+
+
+def test_parse_ints_reads_each_value_by_the_same_rule():
+    assert parse_ints(iter([1, 2, 10**700])) == (1, 2, 10**700)
+    values = parse_ints([1, "2", np.int8(3)])
+    assert values == (1, 2, 3) and all(type(v) is int for v in values)
+    with pytest.raises(InvalidInputError, match="got JSON boolean"):
+        parse_ints([1, 2, True])

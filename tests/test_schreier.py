@@ -2,8 +2,10 @@
 
 import random
 import sys
+from itertools import combinations
 from math import comb
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -58,6 +60,37 @@ class TestMembership:
             SchreierSet((3, 2, 1))
         with pytest.raises(InvalidInputError):
             SchreierSet((2, 3, 4))
+
+
+class TestIntegerRule:
+    @pytest.mark.parametrize("make", [
+        lambda: SchreierSet((2.7, 3.2)),
+        lambda: SchreierSet((True,)),
+        lambda: SchreierSet.from_iterable([2.0, 3]),
+        lambda: is_maximal_schreier({1.5}),
+        lambda: is_maximal_schreier([True]),
+        lambda: count_max_at_most(2.5),
+        lambda: CANONICAL.unrank(3.0),
+    ])
+    def test_non_integers_are_refused_not_truncated(self, make):
+        with pytest.raises(InvalidInputError, match="expected a decimal integer"):
+            make()
+
+    def test_integral_values_and_decimal_texts_are_read(self):
+        s = SchreierSet((np.int64(2), "3"))
+        assert s.elements == (2, 3) and all(type(e) is int for e in s)
+        assert SchreierSet.from_iterable(["5", 4, np.uint8(3), 4]).elements == (3, 4, 5)
+        assert is_maximal_schreier(["2", 3])
+        # past CPython's default 4300-digit limit
+        assert CANONICAL.unrank("9" * 5000) == CANONICAL.unrank(10**5000 - 1)
+        with pytest.raises(InvalidInputError, match="^cardinality 1 != minimum 9{5000}"):
+            SchreierSet(("9" * 5000,))
+
+    def test_positivity_is_reported_before_order(self):
+        with pytest.raises(InvalidInputError, match="positive"):
+            SchreierSet((3, 0, 5))
+        with pytest.raises(InvalidInputError, match="^elements must be strictly increasing: \\(3, 2, 4\\)$"):
+            SchreierSet((3, 2, 4))
 
 
 class TestCanonicalOrder:
@@ -269,6 +302,35 @@ class TestAgainstReference:
             assert first_of_next.maximum == n + 1
             if enum is CANONICAL:
                 assert first_of_next.elements == (2, n + 1)
+
+
+class TestLexRankOfSubsets:
+    """Ranking stops at the final run, unranking at index 0: every subset, in lex order."""
+
+    @pytest.mark.parametrize("lo, hi", [(1, 1), (1, 10), (4, 13), (7, 6)])
+    def test_every_subset_of_small_intervals(self, lo, hi):
+        values = range(lo, hi + 1)
+        for k in range(len(values) + 1):
+            subsets = list(combinations(values, k))  # lex order
+            for index, chosen in enumerate(subsets):
+                assert schreier._comb_lex_rank(lo, hi, chosen) == index
+                assert schreier._comb_lex_unrank(lo, hi, k, index) == chosen
+            with pytest.raises(InvalidInputError):
+                schreier._comb_lex_unrank(lo, hi, k, len(subsets))
+
+    @pytest.mark.parametrize("run", [1, 2, 63, 64, 65, 500])
+    @pytest.mark.parametrize("gap", [0, 1, 70, 3000])
+    def test_a_final_run_after_a_gap(self, run, gap):
+        # gaps before the run straddle the ratio steps and the galloping
+        _assert_matches_reference(_set_from_gaps(run + 4, [2, 0, gap] + [0] * run))
+
+    def test_identity_witness_at_N_1e5(self):
+        N = 10**5
+        s = SchreierSet(tuple(range(N + 1, 2 * N + 2)))
+        # one run: the middle is the first subset of its interval
+        assert schreier._comb_lex_rank(N + 2, 2 * N, s.elements[1:-1]) == 0
+        for enum in (CANONICAL, ALT):
+            assert enum.unrank(enum.rank_of(s)) == s
 
 
 class TestCountCache:

@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from wbslab import weaknull
@@ -16,7 +17,7 @@ from wbslab.weaknull import (
     find_weak_witness,
 )
 
-from oracles import brute_force_schreier
+from oracles import brute_force_schreier, reference_rule_terms
 
 HALF = Fraction(1, 2)
 
@@ -86,6 +87,70 @@ class TestSubsequence:
             Subsequence.from_terms([1, 3, 3])
         with pytest.raises(InvalidInputError):
             Subsequence.from_terms([0, 1])
+
+    @pytest.mark.parametrize("rule", [
+        "identity", "affine:1,7", "affine:3,2", "geometric:1,2", "geometric:5,3",
+        "random:194,3", "random:7,1", "random:2023,9",
+    ])
+    def test_bulk_terms_match_the_per_term_reference(self, rule):
+        expected = reference_rule_terms(rule, 3000)
+        sub = Subsequence.parse(rule)
+        assert sub.term(5) == expected[4] and len(sub) == 5
+        assert sub.term(1000) == expected[999] and len(sub) == 1000
+        assert sub.terms(3000) == expected
+
+    @pytest.mark.parametrize("values, message", [
+        ([0, 1], "terms must be positive, got 0"),
+        ([1, 2, -4], "terms must be positive, got -4"),
+        ([3, 0], "terms must be positive, got 0"),  # positivity is checked first
+        ([1, 3, 3], "terms must be strictly increasing: 3 then 3"),
+        ([2, 5, 4, 1, -1], "terms must be strictly increasing: 5 then 4"),
+        ([1, 10**700, 10**700 - 1], "terms must be strictly increasing: 1" + "0" * 700 + " then " + "9" * 700),
+    ])
+    def test_explicit_prefix_names_the_first_offender(self, values, message):
+        with pytest.raises(InvalidInputError) as info:
+            Subsequence.from_terms(values)
+        assert str(info.value) == message
+
+    def test_rule_keeps_the_terms_before_its_first_offender(self):
+        sub = Subsequence((1, 2), rule=iter([3, 5, 5, 8]))
+        assert sub.term(3) == 3
+        with pytest.raises(InvalidInputError, match="^terms must be strictly increasing: 5 then 5$"):
+            sub.term(6)
+        assert sub.terms(4) == (1, 2, 3, 5)
+
+    def test_term_cap_materializes_nothing(self):
+        sub = Subsequence.identity()
+        with pytest.raises(InvalidInputError, match=f"cap {weaknull.DEFAULT_MAX_TERMS}"):
+            sub.term(weaknull.DEFAULT_MAX_TERMS + 1)
+        assert len(sub) == 0
+        assert sub.terms(3) == (1, 2, 3)
+
+    @pytest.mark.parametrize("make", [
+        lambda: Subsequence.from_terms([1.9, 2.5, 3.1]),
+        lambda: Subsequence.from_terms([True, 2]),
+        lambda: Subsequence(rule=iter([1, 2.5])).term(2),
+        lambda: Subsequence.identity().term(2.0),
+        lambda: certify_not_cesaro_null(Subsequence.identity(), 2.0),
+        lambda: SequenceOracle().entry(2.0, 2),
+        lambda: SequenceOracle().coordinate_set(2.0),
+        lambda: Subsequence.affine(2.5),
+        lambda: Subsequence.geometric(1, 2.0),
+        lambda: Subsequence.seeded_increments(7, max_step=2.5),
+        lambda: WeakConvergenceChallenge(Fraction(1, 2), (1.5, 2), (1, 2), (1, 2)),
+        lambda: WeakConvergenceChallenge(Fraction(1, 2), (1, 2), (True, 2), (1, 2)),
+    ])
+    def test_non_integers_are_refused_not_truncated(self, make):
+        with pytest.raises(InvalidInputError, match="expected a decimal integer"):
+            make()
+
+    def test_integral_and_decimal_terms_are_read(self):
+        big = "9" * 5000  # past CPython's default 4300-digit limit
+        sub = Subsequence.from_terms([np.int64(2), "3", big])
+        assert sub.terms(3) == (2, 3, 10**5000 - 1)
+        assert all(type(t) is int for t in sub.terms(3))
+        challenge = WeakConvergenceChallenge(Fraction(1, 2), ("1", np.int32(4)), (1,), (big,))
+        assert challenge.k_seq == (1, 4) and challenge.J_seq == (10**5000 - 1,)
 
     def test_parse(self):
         assert Subsequence.parse("identity").description == "identity"
