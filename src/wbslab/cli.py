@@ -26,7 +26,9 @@ from collections.abc import Iterator
 from pathlib import Path
 
 from .errors import InvalidInputError, PairSearchFailure, WbsLabError
-from .inputs import EXPERIMENT_NAMES, existing_file, json_type, load_json, parse_int, parse_json, to_decimal
+from .inputs import (
+    EXPERIMENT_NAMES, existing_file, json_type, load_json, parse_floats, parse_int, parse_json, to_decimal,
+)
 from .schreier import ENUMERATION_NAMES, SchreierSet, count_max_at_most, get_enumeration
 
 
@@ -55,13 +57,6 @@ def _emit(args, payload: dict, ok: bool = True) -> int:
             raise InvalidInputError(f"cannot write --out: {exc}") from None
     print(text)
     return 0 if ok else 1
-
-
-def _parse_floats(values) -> tuple[float, ...]:
-    try:
-        return tuple(float(v) for v in values)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise InvalidInputError(f"expected a list of numbers: {exc}") from None
 
 
 def _label_pair(text: str) -> tuple[str, str]:
@@ -98,7 +93,7 @@ def _parse_vectors(text: str, length: int, seed: int) -> Iterator:
         return
     path = existing_file(text)
     values = load_json(path) if path else text.split(",")
-    yield FiniteSequence(_parse_floats(values))
+    yield FiniteSequence(values)
 
 
 # ---- action handlers -------------------------------------------------------
@@ -223,7 +218,7 @@ def _cmd_embed_cb(args) -> int:
 
     space = load_space(args.space)
     centers = [c.strip() for c in args.centers.split(",")]
-    radii = list(_parse_floats(args.radii.split(",")))
+    radii = list(parse_floats(args.radii.split(",")))
     vec = next(_parse_vectors(args.vector, len(centers), args.seed))
     image = embed_cb(vec, space, centers, radii)
     image_sup = sup_norm(image)
@@ -235,7 +230,7 @@ def _cmd_embed_cb(args) -> int:
 def _cmd_embed_linf(args) -> int:
     from .embed import embed_linf
 
-    masses = list(_parse_floats(args.masses.split(",")))
+    masses = list(parse_floats(args.masses.split(",")))
     vec = next(_parse_vectors(args.vector, len(masses), args.seed))
     step = embed_linf(vec, masses)
     exact = step.ess_sup == vec.sup_value
@@ -268,7 +263,7 @@ def _cmd_classify_cb(args) -> int:
 def _cmd_classify_linf(args) -> int:
     from .classify import FiniteMeasurePartition, classify_linf
 
-    masses = _parse_floats(args.masses.split(","))
+    masses = parse_floats(args.masses.split(","))
     verdict = classify_linf(FiniteMeasurePartition(masses, is_terminal=not args.more_sets))
     return _emit(args, verdict.to_json())
 

@@ -20,10 +20,23 @@ Three constructions, one per target:
 
 The operators act on finite truncations: a vector of length m is paired
 with exactly m pairs / centers / cells.
+
+Each verified operator is built once per space and then reused: the
+tent map of ``tent_images`` (owner, columns and tent values, after the
+radius and overlap checks) keyed by its centers and radii, and the
+tables of ``build_support_map`` (after ``verify_pair_family``) keyed by
+the family and alpha.  The memo is weakly keyed on the space and holds
+only read-only tables, never the space, so its entries die with their
+space; each space keeps at most ``_MEMO_PER_SPACE`` of them, least
+recently used out first.  A build that raises stores nothing, so a
+refused input is refused again on every call.
 """
 
 from __future__ import annotations
 
+import math
+import weakref
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,7 +49,7 @@ from .errors import (
 )
 # perfbench/tracing.py wraps holder_norm and tent_bump under this module's names
 from .holder import ScalarField, holder_norm, pair_bump, tent_bump, validate_alpha, validate_radius  # noqa: F401
-from .inputs import cell_masses
+from .inputs import cell_masses, parse_floats
 from .metric import FiniteMetricSpace, SeparatedPairFamily, verify_pair_family
 
 __all__ = [
@@ -55,6 +68,30 @@ __all__ = [
     "embed_linf",
 ]
 
+# Verified operator tables kept per space, tent maps and Holder tables alike.
+_MEMO_PER_SPACE = 8
+_memo: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _memoized(space: FiniteMetricSpace, key, build):
+    """build()'s tables for key on space, built once while space lives.
+
+    build must not return anything that refers to space, or the entry
+    would keep its own key alive.
+    """
+    entries = _memo.get(space)
+    if entries is not None and key in entries:
+        entries.move_to_end(key)
+        return entries[key]
+    tables = build()
+    for table in tables:
+        table.setflags(write=False)
+    entries = _memo.setdefault(space, OrderedDict())
+    entries[key] = tables
+    if len(entries) > _MEMO_PER_SPACE:
+        entries.popitem(last=False)
+    return tables
+
 
 @dataclass(frozen=True)
 class FiniteSequence:
@@ -63,8 +100,8 @@ class FiniteSequence:
     entries: tuple[float, ...]
 
     def __post_init__(self):
-        vals = tuple(float(v) for v in self.entries)
-        if not all(np.isfinite(vals)):
+        vals = parse_floats(self.entries)
+        if not all(map(math.isfinite, vals)):
             raise InvalidInputError("entries must be finite")
         object.__setattr__(self, "entries", vals)
 
@@ -144,13 +181,19 @@ def build_support_map(
     family: SeparatedPairFamily,
     alpha: float,
 ) -> HolderEmbedding:
-    """Verify the family, build every pair bump and the seminorm tables, once.
+    """Verify the family, build every pair bump and the seminorm tables, once per space.
 
     The support of the n-th pair bump is exactly the open ball around
     y_n, so each point takes its profile value from the one bump whose
-    ball holds it.
+    ball holds it.  Later calls with the same family and alpha reuse the
+    tables.
     """
     alpha = validate_alpha(alpha)
+    tables = _memoized(space, ("holder", family, alpha), lambda: _holder_tables(space, family, alpha))
+    return HolderEmbedding(space, family, alpha, *tables)
+
+
+def _holder_tables(space: FiniteMetricSpace, family: SeparatedPairFamily, alpha: float) -> tuple:
     report = verify_pair_family(space, family)
     if not report.ok:
         raise InconsistentFamilyError(
@@ -166,10 +209,7 @@ def build_support_map(
     later = support[:, None] < np.arange(len(space))
     powered = np.where(later, space.dist[support], space.dist[:, support].T) ** alpha
     off_min = powered[:, owner < 0].min(axis=1, initial=np.inf)
-    tables = support, owner[support], profile[support], powered[:, support], off_min
-    for table in tables:
-        table.setflags(write=False)
-    return HolderEmbedding(space, family, alpha, *tables)
+    return support, owner[support], profile[support], powered[:, support], off_min
 
 
 def embed_holder(a: FiniteSequence, embedding: HolderEmbedding) -> ScalarField:
@@ -295,8 +335,9 @@ def tent_images(
 ) -> np.ndarray:
     """V x n values: row v is the sum of vectors[v]-scaled tents over disjoint balls.
 
-    The balls, their owners and the tent values are built once; every
-    row is then one gather of its coefficients times the tents.
+    The balls, their owners and the tent values are built once per space
+    and reused for the same centers and radii; every row is then one
+    gather of its coefficients times the tents.
     """
     for m in [len(a) for a in vectors] or [len(centers)]:
         if m != len(centers) or len(centers) != len(radii):
@@ -304,7 +345,17 @@ def tent_images(
                 f"lengths disagree: {m} coefficients, {len(centers)} centers, "
                 f"{len(radii)} radii"
             )
-    radii = [validate_radius(r) for r in radii]
+    radii = tuple(validate_radius(r) for r in radii)
+    key = ("tent", tuple(centers), radii)
+    owner, cols, tents = _memoized(space, key, lambda: _tent_map(space, centers, radii))
+    coeffs = np.array([a.entries for a in vectors]).reshape(len(vectors), len(centers))
+    values = np.zeros((len(vectors), len(space)))
+    values[:, cols] = coeffs[:, owner] * tents
+    return values
+
+
+def _tent_map(space: FiniteMetricSpace, centers: list[str], radii: tuple[float, ...]) -> tuple:
+    """The owner, column and tent value of every point inside a ball; the balls must be disjoint."""
     members = space.balls(centers, radii)
     clash = np.nonzero(members.sum(axis=0) > 1)[0]
     if clash.size:
@@ -312,12 +363,9 @@ def tent_images(
             f"balls overlap at point {space.labels[int(clash[0])]!r}"
         )
     owner, cols = np.nonzero(members)
-    rows = space.dist[[space.index(c) for c in centers]]
-    tents = np.maximum(1.0 - rows[owner, cols] / np.take(radii, owner), 0.0)
-    coeffs = np.array([a.entries for a in vectors]).reshape(len(vectors), len(centers))
-    values = np.zeros((len(vectors), len(space)))
-    values[:, cols] = coeffs[:, owner] * tents
-    return values
+    rows = np.array([space.index(c) for c in centers], dtype=int)[owner]
+    tents = np.maximum(1.0 - space.dist[rows, cols] / np.take(radii, owner), 0.0)
+    return owner, cols, tents
 
 
 def embed_cb(
@@ -344,7 +392,7 @@ class StepFunction:
     masses: tuple[float, ...]
 
     def __post_init__(self):
-        vals, masses = tuple(float(v) for v in self.cell_values), tuple(self.masses)
+        vals, masses = parse_floats(self.cell_values), tuple(self.masses)
         if len(vals) != len(masses):
             raise InvalidInputError(f"vector length {len(vals)} != partition size {len(masses)}")
         object.__setattr__(self, "cell_values", vals)

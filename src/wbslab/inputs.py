@@ -5,7 +5,8 @@ runs, so they live apart from the array modules that only some actions
 load.  Every big integer crosses text here, through `to_decimal` and
 `from_decimal`, whatever CPython's int/str digit limit is set to, and
 every JSON argument through `parse_json`.  Every integer argument of
-the exact half, from the CLI or a library caller, is read by `parse_int`.
+the exact half, from the CLI or a library caller, is read by `parse_int`,
+and every vector entry of the float half by `parse_floats`.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from .errors import InvalidInputError
 
 __all__ = [
     "EXPERIMENT_NAMES", "cell_masses", "existing_file", "from_decimal", "json_type", "load_json",
-    "parse_int", "parse_ints", "parse_json", "to_decimal",
+    "parse_floats", "parse_int", "parse_ints", "parse_json", "to_decimal",
 ]
 
 # The suites ``experiments.run_experiment`` runs, in run order.
@@ -122,6 +123,14 @@ def parse_ints(values) -> tuple[int, ...]:
     if _PLAIN_INT.issuperset(map(type, values)):
         return values
     return tuple(map(parse_int, values))
+
+
+def parse_floats(values) -> tuple[float, ...]:
+    """Each value as a float: numbers and numeric texts; anything else is invalid input."""
+    try:
+        return tuple(map(float, values))
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidInputError(f"expected a list of numbers: {exc}") from None
 
 
 def load_json(source):

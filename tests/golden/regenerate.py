@@ -11,7 +11,11 @@ why in CHANGES.md.  The outputs are
 - the stdout and exit status of every ``wbslab`` line of the README's
   CLI tour, run in order through `wbslab.cli.main` in an empty
   directory holding CI's ``space.json`` (the points 0..9 on a line) and
-  ``field.json`` (i mod 3 at point i).
+  ``field.json`` (i mod 3 at point i);
+- the certificate and exit status of ``wbslab cesaro certify`` for each
+  rule of CESARO_CALLS at each of its N, under both enumerations.  The
+  witness ranks run to over 1000 digits at N = 1024 and to 109,570
+  digits for ``geometric:1,2`` at N = 4, its largest certifiable N.
 
 Each entry holds the sha256 of the output's text and, for JSON, an
 outline: the document's shape with every scalar, and every container of
@@ -37,6 +41,10 @@ from wbslab.schreier import ENUMERATION_NAMES
 ROOT = Path(__file__).resolve().parents[2]
 DIGESTS = Path(__file__).with_name("digests.json")
 SEEDS = (0, 1, 2)
+CESARO_CALLS = {
+    **{rule: (1, 2, 3, 17, 128, 1024) for rule in ("identity", "affine:1,0", "affine:2,3", "random:7,3")},
+    "geometric:1,2": (1, 2, 3, 4),
+}
 
 
 def sha256(text: str) -> str:
@@ -98,6 +106,24 @@ def tour_lines() -> list[str]:
     return [line for line in tour.splitlines() if line.startswith("wbslab ")]
 
 
+def cli_entry(argv: list[str]) -> dict:
+    """The exit status and stdout of one in-process CLI call; stderr is dropped."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        status = main(argv)
+    return {"status": status, **json_entry(out.getvalue())}
+
+
+def cesaro_entries(enumeration: str) -> dict[str, dict]:
+    return {
+        f"cesaro/{enumeration}/{rule}/N={N}": cli_entry(
+            ["cesaro", "certify", "--subsequence", rule, "--N", str(N), "--enumeration", enumeration]
+        )
+        for rule, sizes in CESARO_CALLS.items()
+        for N in sizes
+    }
+
+
 def tour_entries() -> dict[str, dict]:
     """Each tour line's exit status and stdout, run in order in one directory."""
     entries = {}
@@ -108,10 +134,7 @@ def tour_entries() -> dict[str, dict]:
             Path("space.json").write_text(json.dumps({"points": [[i] for i in range(10)]}))
             Path("field.json").write_text(json.dumps([i % 3 for i in range(10)]))
             for line in tour_lines():
-                out = io.StringIO()
-                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-                    status = main(shlex.split(line, comments=True)[1:])
-                entries[f"tour/{line}"] = {"status": status, **json_entry(out.getvalue())}
+                entries[f"tour/{line}"] = cli_entry(shlex.split(line, comments=True)[1:])
         finally:
             os.chdir(cwd)
     return entries
@@ -120,6 +143,7 @@ def tour_entries() -> dict[str, dict]:
 def all_entries() -> dict[str, dict]:
     entries = tour_entries()
     for enumeration in ENUMERATION_NAMES:
+        entries.update(cesaro_entries(enumeration))
         for seed in SEEDS:
             entries.update(experiment_entries(enumeration, seed))
     return entries

@@ -441,14 +441,14 @@ def test_refusals_name_json_types(capsys, argv, message):
 def test_closed_stdout_is_a_json_error(tmp_path):
     # like `wbslab schreier count 1000000 | head -c 20`: the 209k-digit
     # count overfills the pipe, and the reader leaves after 20 bytes
-    child = subprocess.Popen(
+    with subprocess.Popen(
         [sys.executable, "-m", "wbslab.cli", "schreier", "count", "1000000"],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-    )
-    assert len(child.stdout.read(20)) == 20
-    child.stdout.close()
-    err = child.stderr.read().decode()
-    assert child.wait() == 2
+    ) as child:
+        assert len(child.stdout.read(20)) == 20
+        child.stdout.close()
+        err = child.stderr.read().decode()
+        assert child.wait() == 2
     assert "Traceback" not in err and "Exception ignored" not in err
     assert json.loads(err)["error"] == "BrokenPipeError"
 
@@ -791,6 +791,28 @@ def test_partition_size_rule(capsys, entry):
         "embed linf": ["embed", "linf", "--masses", "1", "--vector", "1,1"],
     }
     assert failure(capsys, calls[entry]) == ("InvalidInputError", "vector length 2 != partition size 1")
+
+
+@pytest.mark.parametrize(
+    "value, detail",
+    [
+        (10**400, "int too large to convert to float"),
+        ("x", "could not convert string to float: 'x'"),
+        (None, "float() argument must be a string or a real number, not 'NoneType'"),
+        ([1.0], "float() argument must be a string or a real number, not 'list'"),
+    ],
+    ids=["huge", "text", "null", "nested"],
+)
+@pytest.mark.parametrize("entry", ["FiniteSequence", "StepFunction", "embed linf"])
+def test_vector_entry_rule(capsys, tmp_path, entry, value, detail):
+    path = tmp_path / "vector.json"
+    path.write_text(json.dumps([value]))
+    calls = {
+        "FiniteSequence": lambda: FiniteSequence((value,)),
+        "StepFunction": lambda: StepFunction((value,), (1.0,)),
+        "embed linf": ["embed", "linf", "--masses", "1", "--vector", str(path)],
+    }
+    assert failure(capsys, calls[entry]) == ("InvalidInputError", f"expected a list of numbers: {detail}")
 
 
 def test_rules_keep_their_check_order(capsys, space_file):

@@ -1,7 +1,9 @@
 """Support maps, the three embeddings, and their certified norm bounds."""
 
+import gc
 import subprocess
 import sys
+import weakref
 from contextlib import nullcontext
 from unittest.mock import Mock, patch
 
@@ -27,6 +29,7 @@ from wbslab.errors import (
     InconsistentFamilyError,
     InvalidInputError,
     PairSearchFailure,
+    WbsLabError,
 )
 from wbslab.holder import pair_bump, sup_norm
 from wbslab.metric import (
@@ -267,8 +270,10 @@ class TestOperator:
         expected = reference_embed_holder(a.entries, space, family, alpha)
         assert embed_holder(a, embedding).values.tobytes() == expected.tobytes()
 
-    def test_report_verifies_and_builds_bumps_once(self, harmonic_setup, monkeypatch):
-        space, family = harmonic_setup
+    def test_report_verifies_and_builds_bumps_once(self, monkeypatch):
+        # a space of its own: the memo of a shared one may already hold the tables
+        space = harmonic_with_zero(20)
+        family = find_pair_family(space, 0.25, 5)
         spies = {name: Mock(wraps=getattr(wbslab.embed, name)) for name in ("verify_pair_family", "pair_bump")}
         for name, spy in spies.items():
             monkeypatch.setattr(wbslab.embed, name, spy)
@@ -276,7 +281,12 @@ class TestOperator:
         vectors = structured_vectors(len(family)) + [
             FiniteSequence(tuple(rng.uniform(-1, 1, size=len(family)))) for _ in range(10)
         ]
-        assert distortion_report(space, family, 0.5, vectors).samples == len(vectors)
+        first = distortion_report(space, family, 0.5, vectors)
+        assert first.samples == len(vectors)
+        assert spies["verify_pair_family"].call_count == 1
+        assert spies["pair_bump"].call_count == len(family)
+        # a second report on the same space reuses the verified tables
+        assert distortion_report(space, family, 0.5, vectors) == first
         assert spies["verify_pair_family"].call_count == 1
         assert spies["pair_bump"].call_count == len(family)
 
@@ -467,6 +477,147 @@ class TestEmbedCb:
         assert images.shape == (0, len(self.space))
         with pytest.raises(InvalidInputError, match="5 coefficients, 5 centers, 4 radii"):
             tent_images([], self.space, self.centers, self.radii[:4])
+
+
+def _copy(space: FiniteMetricSpace) -> FiniteMetricSpace:
+    """The same points in a new space, whose memo is empty."""
+    return FiniteMetricSpace(space.dist, space.labels)
+
+
+def _memo_keys(space: FiniteMetricSpace) -> list:
+    return list(wbslab.embed._memo.get(space, ()))
+
+
+def _refusal(fn, *args):
+    try:
+        fn(*args)
+    except WbsLabError as exc:
+        return type(exc), str(exc)
+    pytest.fail("no refusal")
+
+
+class TestOperatorMemo:
+    """Each verified operator is built once per space and reused bit for bit."""
+
+    def setup_method(self):
+        self.space = harmonic_with_zero(20)
+        self.family = find_pair_family(self.space, 0.25, 5)
+        self.centers = [y for _, y in self.family.pairs]
+        self.radii = self.family.radii(self.space)
+        rng = np.random.default_rng(13)
+        self.vectors = [FiniteSequence(tuple(rng.uniform(-2, 2, size=len(self.family)))) for _ in range(6)]
+
+    def test_holder_hit_is_a_fresh_build(self):
+        first = build_support_map(self.space, self.family, 0.5)
+        keys = _memo_keys(self.space)
+        again = build_support_map(self.space, self.family, 0.5)
+        fresh = build_support_map(_copy(self.space), self.family, 0.5)
+        assert _memo_keys(self.space) == keys and len(keys) == 1
+        for name in ("support", "owner", "weight", "den", "off_min"):
+            assert getattr(again, name) is getattr(first, name)
+            assert getattr(again, name).tobytes() == getattr(fresh, name).tobytes()
+            assert not getattr(again, name).flags.writeable
+        assert again.space is self.space and again.family is self.family
+        coeffs = again.coefficients(self.vectors)
+        ref_sups, ref_seminorms = reference_sandwich_norms(self.vectors, self.space, self.family, 0.5)
+        for embedding in (again, fresh):
+            sups, seminorms = embedding.apply_batch(coeffs)
+            assert sups.tobytes() == ref_sups.tobytes()
+            assert seminorms.tobytes() == ref_seminorms.tobytes()
+
+    def test_tent_hit_is_a_fresh_build(self):
+        first = tent_images(self.vectors, self.space, self.centers, self.radii)
+        keys = _memo_keys(self.space)
+        again = tent_images(self.vectors, self.space, self.centers, self.radii)
+        fresh = tent_images(self.vectors, _copy(self.space), self.centers, self.radii)
+        assert _memo_keys(self.space) == keys and len(keys) == 1
+        assert again.tobytes() == first.tobytes() == fresh.tobytes()
+        for a, row in zip(self.vectors, again):
+            expected = reference_embed_cb(a.entries, self.space, self.centers, self.radii).tobytes()
+            assert row.tobytes() == expected
+            assert embed_cb(a, self.space, self.centers, self.radii).values.tobytes() == expected
+        assert _memo_keys(self.space) == keys
+
+    def test_other_keys_build_anew(self):
+        smaller = SeparatedPairFamily(self.family.pairs[:4], self.family.K)
+        builds = [
+            lambda: build_support_map(self.space, self.family, 0.5),
+            lambda: build_support_map(self.space, self.family, 0.7),
+            lambda: build_support_map(self.space, smaller, 0.5),
+            lambda: tent_images([], self.space, self.centers, self.radii),
+            lambda: tent_images([], self.space, self.centers[::-1], self.radii[::-1]),
+            lambda: tent_images([], self.space, self.centers, [r / 2 for r in self.radii]),
+        ]
+        for count, build in enumerate(builds, 1):
+            build()
+            assert len(_memo_keys(self.space)) == count
+        for build in builds:  # each a hit now
+            build()
+        assert len(_memo_keys(self.space)) == len(builds)
+        smap = build_support_map(self.space, smaller, 0.7)
+        fresh = build_support_map(_copy(self.space), smaller, 0.7)
+        assert smap.den.tobytes() == fresh.den.tobytes() and smap.weight.tobytes() == fresh.weight.tobytes()
+        halved = [r / 2 for r in self.radii]
+        got = tent_images(self.vectors, self.space, self.centers, halved)
+        assert got.tobytes() == tent_images(self.vectors, _copy(self.space), self.centers, halved).tobytes()
+
+    def test_refusals_repeat_and_store_nothing(self):
+        line = line_grid(6)
+        overlapping = SeparatedPairFamily(((line.labels[0], line.labels[2]), (line.labels[5], line.labels[3])), 0.9)
+        ok_centers, ok_radii = list(line.labels[:2]), [0.45, 0.45]
+        tent_images([FiniteSequence((1.0, 2.0))], line, ok_centers, ok_radii)
+        keys = _memo_keys(line)
+        refused = [
+            (build_support_map, line, overlapping, 1.0),  # failed separation
+            (build_support_map, line, overlapping, 1.5),  # alpha out of range
+            (tent_images, [FiniteSequence((1.0,))], line, ok_centers, ok_radii),  # lengths, after a hit
+            (tent_images, [FiniteSequence((1.0, 2.0))], line, ok_centers, [0.45, float("nan")]),  # radius
+            (tent_images, [FiniteSequence((1.0, 2.0))], line, ok_centers, [2.0, 2.0]),  # overlap
+            (tent_images, [FiniteSequence((1.0, 2.0))], line, ["p0", "nowhere"], ok_radii),  # unknown label
+        ]
+        for fn, *args in refused:
+            first = _refusal(fn, *args)
+            assert _refusal(fn, *args) == first
+        assert _memo_keys(line) == keys
+        embedding = build_support_map(self.space, self.family, 0.5)
+        for _ in range(2):
+            with pytest.raises(InvalidInputError, match="vector length 1 != family size"):
+                verify_sandwich([FiniteSequence((1.0,))], build_support_map(self.space, self.family, 0.5))
+        assert embedding.den is build_support_map(self.space, self.family, 0.5).den
+
+    def test_entries_die_with_their_space(self):
+        before = len(wbslab.embed._memo)
+        space = _copy(self.space)
+        ref = weakref.ref(space)
+        embedding = build_support_map(space, self.family, 0.5)
+        tent_images(self.vectors, space, self.centers, self.radii)
+        assert len(wbslab.embed._memo) == before + 1 and len(_memo_keys(space)) == 2
+        del space, embedding
+        # freed by reference counts alone: no cycle runs through the space
+        assert ref() is None
+        gc.collect()
+        assert len(wbslab.embed._memo) == before
+
+    def test_per_space_bound(self):
+        bound = wbslab.embed._MEMO_PER_SPACE
+        scales = [1.0 / (k + 2) for k in range(2 * bound)]
+
+        def tents(scale):
+            return tent_images([], self.space, self.centers, [r * scale for r in self.radii])
+
+        build_support_map(self.space, self.family, 0.5)
+        for scale in scales[: bound - 1]:
+            tents(scale)
+        keys = _memo_keys(self.space)
+        assert len(keys) == bound
+        build_support_map(self.space, self.family, 0.5)  # a hit: now the most recent
+        tents(scales[bound - 1])  # evicts the least recently used, the first tents
+        assert len(_memo_keys(self.space)) == bound
+        assert keys[0] in _memo_keys(self.space) and keys[1] not in _memo_keys(self.space)
+        for scale in scales[bound:]:  # bound new entries replace every older one
+            tents(scale)
+        assert len(_memo_keys(self.space)) == bound
+        assert not set(keys) & set(_memo_keys(self.space))
 
 
 class TestEmbedLinf:

@@ -1,4 +1,4 @@
-"""Experiment reports and the README tour against their committed digests.
+"""Experiment reports, the README tour and Cesaro certificates against their committed digests.
 
 The digests in `golden/digests.json` are rewritten only on purpose, by
 `golden/regenerate.py`; see its docstring for what they cover.
@@ -9,7 +9,8 @@ import json
 import pytest
 
 from golden.regenerate import (
-    DIGESTS, ENUMERATION_NAMES, SEEDS, experiment_entries, first_difference, outline, tour_entries,
+    DIGESTS, ENUMERATION_NAMES, SEEDS, cesaro_entries, experiment_entries, first_difference, outline,
+    tour_entries,
 )
 
 GOLDEN = json.loads(DIGESTS.read_text())
@@ -38,6 +39,15 @@ def test_readme_tour_matches_golden():
     assert_matches_golden(entries)
     missing = {key for key in GOLDEN if key.startswith("tour/")} - set(entries)
     assert not missing, f"tour lines gone from the README: {sorted(missing)}"
+
+
+@pytest.mark.parametrize("enumeration", ENUMERATION_NAMES)
+def test_cesaro_certificates_match_golden(enumeration):
+    entries = cesaro_entries(enumeration)
+    assert all(entry["status"] == 0 for entry in entries.values())
+    assert_matches_golden(entries)
+    missing = {key for key in GOLDEN if key.startswith(f"cesaro/{enumeration}/")} - set(entries)
+    assert not missing, f"certificates gone from the golden set: {sorted(missing)}"
 
 
 def test_first_difference_names_the_path():
