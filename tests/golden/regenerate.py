@@ -115,6 +115,7 @@ def cli_entry(argv: list[str]) -> dict:
 
 
 def cesaro_entries(enumeration: str) -> dict[str, dict]:
+    """The certificate of each call in CESARO_CALLS under one enumeration."""
     return {
         f"cesaro/{enumeration}/{rule}/N={N}": cli_entry(
             ["cesaro", "certify", "--subsequence", rule, "--N", str(N), "--enumeration", enumeration]

@@ -44,7 +44,6 @@ def test_readme_tour_matches_golden():
 @pytest.mark.parametrize("enumeration", ENUMERATION_NAMES)
 def test_cesaro_certificates_match_golden(enumeration):
     entries = cesaro_entries(enumeration)
-    assert all(entry["status"] == 0 for entry in entries.values())
     assert_matches_golden(entries)
     missing = {key for key in GOLDEN if key.startswith(f"cesaro/{enumeration}/")} - set(entries)
     assert not missing, f"certificates gone from the golden set: {sorted(missing)}"
