@@ -126,7 +126,10 @@ def parse_ints(values) -> tuple[int, ...]:
 
 
 def parse_floats(values) -> tuple[float, ...]:
-    """Each value as a float: numbers and numeric texts; anything else is invalid input."""
+    """Numbers and numeric texts as floats; booleans and anything else are invalid input."""
+    values = tuple(values)
+    if bool in map(type, values):  # float(True) would read it as 1.0
+        raise InvalidInputError("expected a list of numbers: got JSON boolean")
     try:
         return tuple(map(float, values))
     except (TypeError, ValueError, OverflowError) as exc:

@@ -79,11 +79,16 @@ def validate_metric(
 
     A triangle violation is d_ij - b > triangle_rel * max(b, 1) for some
     b = d_ik + d_kj (the slack spares float Euclidean clouds).  Only
-    pairs i < j are reported, so one row at a time builds best_ij = min
-    over k not in {i, j} of d_ik + d_kj for j > i alone, and tests it
-    once.  That is exact: float min picks one of the same sums in any
-    order (up to the sign of a zero, which changes neither test side),
-    the float d - b never increases as b grows and rel * max(b, 1) never
+    pairs i < j are reported, so `_best_detours` builds best_ij = min
+    over k not in {i, j} of d_ik + d_kj for j > i alone, one row i at a
+    time, and the slack test runs once on the result.  Both summands
+    are contiguous rows: row i of the matrix plus rows j > i of one
+    transposed copy, whose inf diagonal stands for k = j, with the
+    k = i column set to inf.  That scratch is freed before the test
+    builds its n x n temporaries.  The result is exact: float addition
+    commutes, float min picks one of the same sums in any order (up to
+    the sign of a zero, which changes neither test side), the float
+    d - b never increases as b grows and rel * max(b, 1) never
     decreases, so some k violates iff the minimum does.  Only failing
     pairs are then rescanned per k, to report k-major, then row-major
     with i < j, up to the cap.
@@ -111,14 +116,7 @@ def validate_metric(
     for i, j in zip(*np.nonzero(np.triu(arr <= 0, 1))):
         add("positivity", (int(i), int(j)), f"d = {arr[i, j]!r} <= 0 for distinct points")
 
-    best = np.full((n, n), np.inf)
-    flat = np.empty(n * n)
-    for i in range(n - 1):
-        m = n - i - 1
-        via = flat[: n * m].reshape(n, m)  # via[k, j - i - 1] = d_ik + d_kj
-        np.add(arr[i, :, None], arr[:, i + 1 :], out=via)
-        via[i] = flat[(i + 1) * m : n * m : m + 1] = np.inf  # k = i and k = j
-        np.min(via, axis=0, out=best[i, i + 1 :])
+    best = _best_detours(arr)
     with np.errstate(invalid="ignore"):  # rel = 0 times inf for j <= i and where no k exists
         rows, cols = np.nonzero(np.triu((arr - best) > rel * np.maximum(best, 1.0), 1))
     if len(rows) == 0:
@@ -133,6 +131,26 @@ def validate_metric(
             detail = f"d = {arr[i, j]!r} > {arr[i, k]!r} + {arr[k, j]!r}"
             add("triangle", (int(i), k, int(j)), detail)
     return report
+
+
+def _best_detours(arr: np.ndarray) -> np.ndarray:
+    """best[i, j] = min over k not in {i, j} of d_ik + d_kj for i < j; inf elsewhere.
+
+    Both summands are contiguous rows: cols[j, k] = d_kj is one transposed
+    copy whose inf diagonal drops k = j, and column i of each row's block
+    drops k = i.  The scratch dies on return.
+    """
+    n = arr.shape[0]
+    best = np.full((n, n), np.inf)
+    cols = arr.T.copy()
+    np.fill_diagonal(cols, np.inf)
+    flat = np.empty(n * n)
+    for i in range(n - 1):
+        via = flat[: (n - i - 1) * n].reshape(n - i - 1, n)  # via[j - i - 1, k] = d_ik + d_kj
+        np.add(arr[i], cols[i + 1 :], out=via)
+        via[:, i] = np.inf
+        np.min(via, axis=1, out=best[i, i + 1 :])
+    return best
 
 
 def _is_point(u, n: int) -> bool:

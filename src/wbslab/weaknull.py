@@ -36,7 +36,7 @@ from .errors import (
     NeedsMoreDataError,
 )
 from .inputs import from_decimal, parse_int, parse_ints, to_decimal
-from .schreier import CanonicalEnumeration, SchreierSet, get_enumeration
+from .schreier import _MAX_GRADE, CanonicalEnumeration, SchreierSet, get_enumeration
 
 __all__ = [
     "SequenceOracle",
@@ -300,6 +300,13 @@ def certify_not_cesaro_null(
         oracle = SequenceOracle()
     k_next = sub.term(N + 1)
     need = N + k_next
+    # terms only grow, so the first one past the largest grade dooms the
+    # witness: a rule's tail is drawn in doubling chunks that stop there
+    j = N + 1
+    while sub._rule is not None and j < need <= DEFAULT_MAX_TERMS:
+        if sub.term(j) > _MAX_GRADE:
+            raise InvalidInputError(f"n exceeds the largest supported grade, {_MAX_GRADE}")
+        j = min(2 * j, need)
     tail = sub.terms(need)[N:]
     witness = SchreierSet(tail)
     if len(witness) != k_next or witness.minimum != k_next:

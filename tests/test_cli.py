@@ -308,6 +308,8 @@ class TestMetricAndPairs:
         ["schreier", "rank", "[" * 100_000],
         ["metric", "validate", '{"matrix": ' + "[" * 100_000],
         ["embed", "linf", "--masses", "1", "--vector", "{deep}"],
+        # a JSON boolean is not the number 1.0, even beside a numeric text
+        ["embed", "linf", "--masses", "1,1", "--vector", "{booleans}"],
     ],
 )
 def test_malformed_arguments_are_json_errors(capsys, space_file, tmp_path, argv):
@@ -317,9 +319,11 @@ def test_malformed_arguments_are_json_errors(capsys, space_file, tmp_path, argv)
         "{dir}": str(tmp_path),
         "{under_file}": str(space_file / "sub"),
         "{deep}": str(tmp_path / "deep.json"),
+        "{booleans}": str(tmp_path / "booleans.json"),
     }
     if "{deep}" in argv:
         (tmp_path / "deep.json").write_text("[" * 100_000 + "]" * 100_000)
+    (tmp_path / "booleans.json").write_text('[true, "2.5"]')
     assert main([names.get(arg, arg) for arg in argv]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -343,6 +347,23 @@ def test_grades_past_the_cap_fail_at_once(capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "largest supported grade" in json.loads(captured.err)["message"]
+
+
+def test_witness_past_the_cap_is_refused_before_its_terms_are_drawn(capsys):
+    # all 131,089 terms of this witness took about 1.1 GB and 2 s
+    import tracemalloc
+
+    start = time.perf_counter()
+    tracemalloc.start()
+    try:
+        assert main(["cesaro", "certify", "--subsequence", "geometric:1,2", "--N", "17"]) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - start < 1.0
+    assert peak < 50 * 2**20
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "InvalidInputError", "message": "n exceeds the largest supported grade, 10000000"}
 
 
 def test_usage_error_names_the_action(capsys):
@@ -800,8 +821,9 @@ def test_partition_size_rule(capsys, entry):
         ("x", "could not convert string to float: 'x'"),
         (None, "float() argument must be a string or a real number, not 'NoneType'"),
         ([1.0], "float() argument must be a string or a real number, not 'list'"),
+        (True, "got JSON boolean"),
     ],
-    ids=["huge", "text", "null", "nested"],
+    ids=["huge", "text", "null", "nested", "boolean"],
 )
 @pytest.mark.parametrize("entry", ["FiniteSequence", "StepFunction", "embed linf"])
 def test_vector_entry_rule(capsys, tmp_path, entry, value, detail):

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from wbslab.errors import InvalidInputError, PairSearchFailure
 from wbslab.metric import (
     _PREFIX,
+    _best_detours,
     FiniteMetricSpace,
     SeparatedPairFamily,
     find_pair_family,
@@ -414,6 +415,57 @@ class TestValidateMatchesReference:
         for cap in CAPS:
             report = same_report(dist, cap)
             assert 0 < len(report.violations) <= cap
+
+
+ENTRIES = st.one_of(
+    st.sampled_from((0.0, -0.0, -1.0, 0.5, 1.0, 2.0, 3.0)),
+    st.floats(-4.0, 4.0, allow_nan=False),
+)
+
+
+def assert_best_detours(dist):
+    """The upper triangle against a brute-force min, bit for bit.
+
+    Where several sums tie at the minimum the kernel may return any one
+    of them, so zeros of either sign are matched against the candidates.
+    """
+    dist = np.array(dist, dtype=float)
+    n = len(dist)
+    best = _best_detours(dist)
+    assert best.shape == (n, n)
+    assert np.all(best[np.tril_indices(n)] == np.inf)
+    for i in range(n):
+        for j in range(i + 1, n):
+            sums = [dist[i, k] + dist[k, j] for k in range(n) if k not in (i, j)]
+            low = min(sums, default=np.inf)
+            bits = {np.float64(s).tobytes() for s in sums if s == low} or {np.float64(low).tobytes()}
+            assert best[i, j].tobytes() in bits, (i, j, best[i, j], low)
+
+
+class TestBestDetours:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 8), st.data())
+    def test_matches_brute_force(self, n, data):
+        # asymmetric entries, negative and -0.0 diagonals and ties make
+        # a kernel that keeps k = i or k = j in the min observable
+        dist = np.array(data.draw(st.lists(ENTRIES, min_size=n * n, max_size=n * n))).reshape(n, n)
+        assert_best_detours(dist)
+
+    def test_reads_d_kj_not_d_jk(self):
+        # only the detour through p2 read as d_02 + d_21 breaks d_01; the
+        # mirror entry d_12 is long, so a kernel reading row j misses it
+        dist = [[0.0, 10.0, 1.0], [10.0, 0.0, 9.5], [1.0, 1.0, 0.0]]
+        assert_best_detours(dist)
+        assert _best_detours(np.array(dist))[0, 1] == 2.0
+        report = same_report(dist, 50)
+        triangles = [v for v in report.violations if v.kind == "triangle"]
+        assert [v.points for v in triangles] == [("p0", "p2", "p1")]
+
+    def test_diagonal_never_counts_as_a_detour(self):
+        # d_ii + d_ij and d_ij + d_jj undercut every real detour
+        dist = [[-5.0, 3.0, 4.0], [3.0, -0.0, 4.0], [4.0, 4.0, -5.0]]
+        assert_best_detours(dist)
+        assert _best_detours(np.array(dist))[0, 1] == 8.0
 
 
 def l1_lattice(a: int, b: int, seed: int) -> FiniteMetricSpace:

@@ -183,6 +183,14 @@ class TestCertificates:
                     Subsequence.geometric(2, 3)):
             assert certify_not_cesaro_null(sub, 1, oracle=oracle).mean >= HALF
 
+    def test_witness_past_the_grade_cap_stops_drawing(self, oracle):
+        # geometric:1,2 at N = 17 needs 131,089 terms of up to 131,088
+        # bits, but term 25 already passes the largest grade
+        sub = Subsequence.geometric(1, 2)
+        with pytest.raises(InvalidInputError, match="largest supported grade"):
+            certify_not_cesaro_null(sub, 17, oracle=oracle)
+        assert len(sub) <= 2 * 18
+
     def test_witness_is_maximal_schreier(self, oracle):
         for seed in range(10):
             sub = Subsequence.seeded_increments(seed)
