@@ -61,7 +61,6 @@ _EXPORTS = {
         "holder_norm",
         "holder_seminorm",
         "pair_bump",
-        "power_diff_check",
         "sup_norm",
         "tent_bump",
     ),
@@ -82,7 +81,6 @@ _EXPORTS = {
         "SchreierSet",
         "count_max_at_most",
         "get_enumeration",
-        "is_maximal_schreier",
     ),
     "tolerances": ("DEFAULT_TOLERANCES", "Tolerances"),
     "weaknull": (

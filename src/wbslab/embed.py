@@ -38,6 +38,7 @@ import math
 import weakref
 from collections import OrderedDict
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -80,9 +81,10 @@ def _memoized(space: FiniteMetricSpace, key, build):
     would keep its own key alive.
     """
     entries = _memo.get(space)
-    if entries is not None and key in entries:
+    tables = None if entries is None else entries.get(key)
+    if tables is not None:
         entries.move_to_end(key)
-        return entries[key]
+        return tables
     tables = build()
     for table in tables:
         table.setflags(write=False)
@@ -91,6 +93,12 @@ def _memoized(space: FiniteMetricSpace, key, build):
     if len(entries) > _MEMO_PER_SPACE:
         entries.popitem(last=False)
     return tables
+
+
+def _matrix(vectors: list[FiniteSequence], m: int) -> np.ndarray:
+    """The V x m matrix of V vectors of length m, filled in one pass."""
+    entries = chain.from_iterable(a.entries for a in vectors)
+    return np.fromiter(entries, float, len(vectors) * m).reshape(len(vectors), m)
 
 
 @dataclass(frozen=True)
@@ -107,7 +115,7 @@ class FiniteSequence:
 
     @property
     def sup_value(self) -> float:
-        return max((abs(v) for v in self.entries), default=0.0)
+        return max(map(abs, self.entries), default=0.0)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -116,11 +124,11 @@ class FiniteSequence:
     def unit(cls, k: int, length: int) -> "FiniteSequence":
         if not 0 <= k < length:
             raise InvalidInputError(f"unit index {k} out of range for length {length}")
-        return cls(tuple(1.0 if i == k else 0.0 for i in range(length)))
+        return cls((0.0,) * k + (1.0,) + (0.0,) * (length - k - 1))
 
     @classmethod
     def alternating(cls, length: int) -> "FiniteSequence":
-        return cls(tuple(1.0 if i % 2 == 0 else -1.0 for i in range(length)))
+        return cls(((1.0, -1.0) * ((length + 1) // 2))[:length])
 
     def to_json(self) -> list[float]:
         return list(self.entries)
@@ -163,7 +171,7 @@ class HolderEmbedding:
         for a in vectors:
             if len(a) != m:
                 raise InvalidInputError(f"vector length {len(a)} != family size {m}")
-        return np.array([a.entries for a in vectors]).reshape(len(vectors), m)
+        return _matrix(vectors, m)
 
     def apply_batch(self, coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Sup norms and seminorms of the V rows' images; temporaries hold V * |S| values."""
@@ -252,30 +260,46 @@ def verify_sandwich(
 ) -> list[SandwichCheck]:
     """Certify sup(a) <= ||T(a)|| <= (2/K**alpha + 1) * sup(a) for each a.
 
-    The norms come from one ``apply_batch`` call; both inequalities are
-    checked with relative slack.  A violation raises
-    CertificateViolationError carrying the first offending vector (or is
-    returned in its check when raise_on_violation is False, so suites can
-    collect rather than abort).
+    One record per vector from the arrays of ``_certify``, for the sandwich
+    suite and the CLI.  A violation raises CertificateViolationError
+    carrying the first offending vector (or is returned in its check when
+    raise_on_violation is False, so suites can collect rather than abort).
     """
-    sups, seminorms = embedding.apply_batch(embedding.coefficients(vectors))
+    norm, sup_a, lower_ok, upper_ok = _certify(vectors, embedding, raise_on_violation)
+    bound_upper = embedding.bound_upper
+    return [
+        SandwichCheck(s, n, (n / s) if s > 0 else None, bound_upper, lo, up)
+        for s, n, lo, up in zip(sup_a.tolist(), norm.tolist(), lower_ok.tolist(), upper_ok.tolist())
+    ]
+
+
+def _certify(vectors: list[FiniteSequence], embedding: HolderEmbedding, raise_on_violation: bool) -> tuple:
+    """Image norms, coefficient sups and both sandwich tests of a batch, as arrays.
+
+    Each test, with relative slack, is one array expression with the
+    scalar test's operands in its order, so each flag is the scalar
+    test's bit for bit, inf and NaN from overflow included (silent, as
+    with Python floats).  The first vector failing a test is the witness.
+    """
+    coeffs = embedding.coefficients(vectors)
+    sups, seminorms = embedding.apply_batch(coeffs)
+    sup_a = np.abs(coeffs).max(axis=1, initial=0.0)
     bound_upper = embedding.bound_upper
     slack = tolerances.DEFAULT_TOLERANCES.sandwich_rel
-    checks = []
-    for a, sup_f, seminorm in zip(vectors, sups.tolist(), seminorms.tolist()):
-        norm, sup_a = sup_f + seminorm, a.sup_value
-        lower_ok = sup_a <= norm * (1.0 + slack) + slack * max(1.0, sup_a)
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm = sups + seminorms
+        lower_ok = sup_a <= norm * (1.0 + slack) + slack * np.maximum(1.0, sup_a)
         upper_ok = norm <= bound_upper * sup_a * (1.0 + slack) + slack
-        if raise_on_violation and not (lower_ok and upper_ok):
-            side = "lower" if not lower_ok else "upper"
-            raise CertificateViolationError(
-                f"{side} embedding bound violated: sup(a)={sup_a!r}, "
-                f"norm={norm!r}, upper bound {bound_upper!r}",
-                witness=a,
-            )
-        ratio = (norm / sup_a) if sup_a > 0 else None
-        checks.append(SandwichCheck(sup_a, norm, ratio, bound_upper, lower_ok, upper_ok))
-    return checks
+    ok = lower_ok & upper_ok
+    if raise_on_violation and not ok.all():
+        i = int(ok.argmin())  # the first False
+        side = "lower" if not lower_ok[i] else "upper"
+        raise CertificateViolationError(
+            f"{side} embedding bound violated: sup(a)={float(sup_a[i])!r}, "
+            f"norm={float(norm[i])!r}, upper bound {bound_upper!r}",
+            witness=vectors[i],
+        )
+    return norm, sup_a, lower_ok, upper_ok
 
 
 @dataclass(frozen=True)
@@ -311,18 +335,23 @@ def distortion_report(
     alpha: float,
     vectors: list[FiniteSequence],
 ) -> EmbeddingReport:
-    """Measure the embedding's distortion over the given nonzero vectors."""
+    """Measure the embedding's distortion over the given nonzero vectors.
+
+    The ratios are read from the arrays of ``_certify``, the kernel of
+    ``verify_sandwich``; the first vector failing a bound is the witness.
+    """
     nonzero = [a for a in vectors if a.sup_value != 0]
     if not nonzero:
         raise InvalidInputError("no nonzero vectors supplied")
     embedding = build_support_map(space, family, alpha)
-    ratios = [c.ratio for c in verify_sandwich(nonzero, embedding)]
-    worst = ratios.index(max(ratios))  # the first maximum
+    norm, sup_a, _, _ = _certify(nonzero, embedding, True)
+    ratios = norm / sup_a
+    worst = int(ratios.argmax())  # the first maximum
     return EmbeddingReport(
-        lower=min(ratios),
-        upper=ratios[worst],
+        lower=float(ratios.min()),
+        upper=float(ratios[worst]),
         bound_upper=embedding.bound_upper,
-        samples=len(ratios),
+        samples=len(nonzero),
         worst_vector=nonzero[worst],
     )
 
@@ -345,10 +374,15 @@ def tent_images(
                 f"lengths disagree: {m} coefficients, {len(centers)} centers, "
                 f"{len(radii)} radii"
             )
-    radii = tuple(validate_radius(r) for r in radii)
-    key = ("tent", tuple(centers), radii)
-    owner, cols, tents = _memoized(space, key, lambda: _tent_map(space, centers, radii))
-    coeffs = np.array([a.entries for a in vectors]).reshape(len(vectors), len(centers))
+    try:
+        checked = tuple(map(float, radii))
+    except (TypeError, ValueError, OverflowError):
+        checked = None
+    if checked is None or not all(map((0.0).__lt__, checked)):  # NaN is not positive either
+        checked = tuple(map(validate_radius, radii))  # raises at the first refused radius
+    key = ("tent", tuple(centers), checked)
+    owner, cols, tents = _memoized(space, key, lambda: _tent_map(space, centers, checked))
+    coeffs = _matrix(vectors, len(centers))
     values = np.zeros((len(vectors), len(space)))
     values[:, cols] = coeffs[:, owner] * tents
     return values

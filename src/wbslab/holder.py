@@ -25,7 +25,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import tolerances
 from .errors import InvalidInputError
 from .metric import FiniteMetricSpace, _float_array, validate_separation
 
@@ -37,7 +36,6 @@ __all__ = [
     "holder_norm",
     "pair_bump",
     "tent_bump",
-    "power_diff_check",
 ]
 
 
@@ -146,18 +144,3 @@ def tent_bump(space: FiniteMetricSpace, center: str, epsilon: float) -> ScalarFi
     epsilon = validate_radius(epsilon)
     d = space.dist[space.index(center)]
     return ScalarField(space, np.maximum(1.0 - d / epsilon, 0.0))
-
-
-def power_diff_check(a: float, b: float, alpha: float) -> bool:
-    """Whether |a**alpha - b**alpha| <= |a - b|**alpha within float slack.
-
-    The inequality is a theorem for nonnegative a, b and 0 < alpha <= 1;
-    the slack only absorbs power rounding.
-    """
-    alpha = validate_alpha(alpha)
-    a, b = float(a), float(b)
-    if a < 0 or b < 0:
-        raise InvalidInputError(f"operands must be nonnegative, got {a}, {b}")
-    pa, pb = a**alpha, b**alpha
-    slack = tolerances.DEFAULT_TOLERANCES.float_slack * max(1.0, pa, pb)
-    return abs(pa - pb) <= abs(a - b) ** alpha + slack

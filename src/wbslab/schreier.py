@@ -31,7 +31,6 @@ from .inputs import parse_int, parse_ints, to_decimal
 
 __all__ = [
     "SchreierSet",
-    "is_maximal_schreier",
     "count_max_at_most",
     "CanonicalEnumeration",
     "ReversedGradeEnumeration",
@@ -87,24 +86,9 @@ class SchreierSet:
         return list(self.elements)
 
 
-def _listed(values: tuple[int, ...] | list[int]) -> str:
+def _listed(values: tuple[int, ...]) -> str:
     """repr(values), with integers of any length."""
-    text = ", ".join(map(to_decimal, values))
-    return f"[{text}]" if isinstance(values, list) else f"({text}{',' * (len(values) == 1)})"
-
-
-def is_maximal_schreier(candidate: Iterable[int]) -> bool:
-    """True iff the candidate is nonempty and its size equals its minimum.
-
-    Raises InvalidInputError when any element is not a positive integer;
-    an empty candidate is simply not a member of the family.
-    """
-    values = sorted(set(parse_ints(candidate)))
-    if values and values[0] < 1:
-        raise InvalidInputError(f"elements must be positive integers: {_listed(values)}")
-    if not values:
-        return False
-    return len(values) == values[0]
+    return f"({', '.join(map(to_decimal, values))}{',' * (len(values) == 1)})"
 
 
 def _fib_pair(n: int) -> tuple[int, int]:

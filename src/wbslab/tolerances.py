@@ -15,8 +15,8 @@ class Tolerances:
     # relative slack when validating the triangle inequality of an
     # ingested distance matrix
     triangle_rel: float = 1e-9
-    # absolute slack, scaled by magnitude, for scalar inequality checks
-    # (seminorm bounds, power difference inequality)
+    # absolute slack on the bump seminorm and sup bounds of the sandwich
+    # suite (the tests' power inequality oracle scales it by magnitude)
     float_slack: float = 1e-12
     # relative slack on the two-sided embedding norm bounds
     sandwich_rel: float = 1e-9

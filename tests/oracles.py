@@ -64,6 +64,22 @@ def brute_force_schreier_alt(max_value: int) -> list[tuple[int, ...]]:
     return out
 
 
+def is_maximal_schreier(candidate) -> bool:
+    """True iff the candidate is nonempty and its size equals its minimum.
+
+    Elements are read by the library's integer rule, so a value that is
+    not an integer raises InvalidInputError, and so does one below 1; an
+    empty candidate is simply not a member of the family.
+    """
+    from wbslab.errors import InvalidInputError
+    from wbslab.inputs import parse_ints
+
+    values = sorted(set(parse_ints(candidate)))
+    if values and values[0] < 1:
+        raise InvalidInputError(f"elements must be positive integers: {values}")
+    return bool(values) and len(values) == values[0]
+
+
 # ---- reference rank and unrank: one binomial from scratch per term -----------
 #
 # The original ranking code: grades found by doubling and bisection on
@@ -389,6 +405,29 @@ def reference_find_pair_family(space, K, target_count):
     return family
 
 
+# ---- the scalar power inequality, with the pinned float slack ----------------
+
+
+def power_diff_check(a: float, b: float, alpha: float) -> bool:
+    """Whether |a**alpha - b**alpha| <= |a - b|**alpha within float slack.
+
+    The inequality is a theorem for nonnegative a, b and 0 < alpha <= 1;
+    the slack, ``float_slack`` scaled by the larger power, only absorbs
+    power rounding.
+    """
+    from wbslab import tolerances
+    from wbslab.errors import InvalidInputError
+    from wbslab.holder import validate_alpha
+
+    alpha = validate_alpha(alpha)
+    a, b = float(a), float(b)
+    if a < 0 or b < 0:
+        raise InvalidInputError(f"operands must be nonnegative, got {a}, {b}")
+    pa, pb = a**alpha, b**alpha
+    slack = tolerances.DEFAULT_TOLERANCES.float_slack * max(1.0, pa, pb)
+    return abs(pa - pb) <= abs(a - b) ** alpha + slack
+
+
 # ---- reference Holder embedding: the per-vector bump loop ------------------
 #
 # The original embed_holder: a fresh pair bump per pair on every call, the
@@ -440,41 +479,51 @@ def reference_sandwich_norms(vectors, space, family, alpha):
     )
 
 
-def reference_distortion_report(space, family, alpha, vectors):
-    """The per-vector loop: certify each nonzero vector, then summarize."""
+def reference_sandwich_checks(vectors, space, family, alpha, raise_on_violation=True):
+    """The per-vector loop: both sandwich tests on each vector's scanned norm."""
     from wbslab import tolerances
-    from wbslab.embed import EmbeddingReport, build_support_map
+    from wbslab.embed import SandwichCheck
     from wbslab.errors import CertificateViolationError, InvalidInputError
-    from wbslab.holder import ScalarField, holder_norm
 
-    slack = tolerances.DEFAULT_TOLERANCES.sandwich_rel
-    nonzero = [a for a in vectors if a.sup_value != 0]
-    if not nonzero:
-        raise InvalidInputError("no nonzero vectors supplied")
-    build_support_map(space, family, alpha)  # verifies the family first
-    bound_upper = 2.0 / family.K**alpha + 1.0
-    ratios = []
-    for a in nonzero:
+    for a in vectors:
         if len(a) != len(family):
             raise InvalidInputError(f"vector length {len(a)} != family size {len(family)}")
-        image = ScalarField(space, reference_embed_holder(a.entries, space, family, alpha))
-        norm = holder_norm(image, alpha)
-        sup_a = a.sup_value
+    slack = tolerances.DEFAULT_TOLERANCES.sandwich_rel
+    bound_upper = 2.0 / family.K**alpha + 1.0
+    sups, seminorms = reference_sandwich_norms(vectors, space, family, alpha)
+    checks = []
+    for a, sup_f, seminorm in zip(vectors, sups.tolist(), seminorms.tolist()):
+        norm, sup_a = sup_f + seminorm, a.sup_value
         lower_ok = sup_a <= norm * (1.0 + slack) + slack * max(1.0, sup_a)
         upper_ok = norm <= bound_upper * sup_a * (1.0 + slack) + slack
-        if not (lower_ok and upper_ok):
+        if raise_on_violation and not (lower_ok and upper_ok):
             side = "lower" if not lower_ok else "upper"
             raise CertificateViolationError(
                 f"{side} embedding bound violated: sup(a)={sup_a!r}, "
                 f"norm={norm!r}, upper bound {bound_upper!r}",
                 witness=a,
             )
-        ratios.append((norm / sup_a, a))
+        ratio = (norm / sup_a) if sup_a > 0 else None
+        checks.append(SandwichCheck(sup_a, norm, ratio, bound_upper, lower_ok, upper_ok))
+    return checks
+
+
+def reference_distortion_report(space, family, alpha, vectors):
+    """Certify each nonzero vector by the per-vector loop, then summarize."""
+    from wbslab.embed import EmbeddingReport, build_support_map
+    from wbslab.errors import InvalidInputError
+
+    nonzero = [a for a in vectors if a.sup_value != 0]
+    if not nonzero:
+        raise InvalidInputError("no nonzero vectors supplied")
+    build_support_map(space, family, alpha)  # verifies the family first
+    checks = reference_sandwich_checks(nonzero, space, family, alpha)
+    ratios = [(c.ratio, a) for c, a in zip(checks, nonzero)]
     upper, worst = max(ratios, key=lambda t: t[0])
     return EmbeddingReport(
         lower=min(r for r, _ in ratios),
         upper=upper,
-        bound_upper=bound_upper,
+        bound_upper=checks[0].bound_upper,
         samples=len(ratios),
         worst_vector=worst,
     )

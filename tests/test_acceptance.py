@@ -34,7 +34,7 @@ from wbslab.embed import (
     verify_sandwich,
 )
 from wbslab.errors import PairSearchFailure
-from wbslab.holder import holder_seminorm, pair_bump, power_diff_check, sup_norm
+from wbslab.holder import holder_seminorm, pair_bump, sup_norm
 from wbslab.metric import find_pair_family
 from wbslab.samples import cycle_graph, harmonic_with_zero, line_grid, random_cloud
 from wbslab.schreier import SchreierSet, count_max_at_most, get_enumeration
@@ -45,6 +45,7 @@ from oracles import (
     derived_set,
     detect_limit_points,
     omega_times,
+    power_diff_check,
     triple_is_limit,
 )
 

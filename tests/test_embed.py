@@ -1,8 +1,10 @@
 """Support maps, the three embeddings, and their certified norm bounds."""
 
 import gc
+import random
 import subprocess
 import sys
+import warnings
 import weakref
 from contextlib import nullcontext
 from unittest.mock import Mock, patch
@@ -31,7 +33,7 @@ from wbslab.errors import (
     PairSearchFailure,
     WbsLabError,
 )
-from wbslab.holder import pair_bump, sup_norm
+from wbslab.holder import pair_bump, sup_norm, validate_radius
 from wbslab.metric import (
     FiniteMetricSpace,
     PairFamilyReport,
@@ -46,6 +48,7 @@ from oracles import (
     reference_distortion_report,
     reference_embed_cb,
     reference_embed_holder,
+    reference_sandwich_checks,
     reference_sandwich_norms,
 )
 
@@ -86,6 +89,15 @@ def _outcome(fn, *args):
         return fn(*args)
     except WbsLabError as exc:
         return type(exc), str(exc), getattr(exc, "witness", None)
+
+
+def _same_outcome(got, expected) -> None:
+    """Equal results, floats bit for bit; or the same error with the very witness."""
+    if isinstance(expected, tuple):
+        assert got[:2] == expected[:2] and got[2] is expected[2]
+        assert "np.float64" not in got[1]
+    else:
+        assert repr(got) == repr(expected)
 
 
 @pytest.fixture(scope="module")
@@ -301,7 +313,9 @@ class TestOperator:
             distortion_report(space, family, 1.0, [FiniteSequence((1.0,))])
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered in subtract")
+# entries near 1e308 overflow apply_batch's differences and ratios, and the
+# scan of holder_seminorm, to inf, as IEEE arithmetic does
+@pytest.mark.filterwarnings("ignore:overflow encountered in subtract", "ignore:overflow encountered in divide")
 class TestBatchKernel:
     """apply_batch and the reports built on it against the per-vector scan."""
 
@@ -368,11 +382,75 @@ class TestBatchKernel:
         with nullcontext() if slack is None else patch.object(tolerances, "DEFAULT_TOLERANCES", record):
             expected = _outcome(reference_distortion_report, space, family, alpha, vectors)
             got = _outcome(distortion_report, space, family, alpha, vectors)
-        if isinstance(expected, tuple):
-            assert got[:2] == expected[:2] and got[2] is expected[2]
-            assert "np.float64" not in got[1]
-        else:
+        _same_outcome(got, expected)
+        if not isinstance(expected, tuple):
             assert got == expected and got.worst_vector is expected.worst_vector
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        KINDS,
+        st.integers(2, 30),
+        st.sampled_from((0.25, 0.5, 1.0)),
+        ALPHAS,
+        st.integers(0, 10**6),
+        st.one_of(st.just(None), st.floats(-1.0, 0.0)),
+        st.data(),
+    )
+    def test_checks_match_reference(self, kind, n, K, alpha, seed, slack, data):
+        # the report's strategy, zero vectors included; a negative slack
+        # fails some vectors part way through the batch
+        space = _space(kind, n, seed)
+        family = _family(space, K)
+        embedding = build_support_map(space, family, alpha)
+        vectors = _vectors(data, len(family), 8)
+        record = Tolerances(sandwich_rel=slack)
+        with nullcontext() if slack is None else patch.object(tolerances, "DEFAULT_TOLERANCES", record):
+            expected = reference_sandwich_checks(vectors, space, family, alpha, False)
+            got = verify_sandwich(vectors, embedding, raise_on_violation=False)
+            assert repr(got) == repr(expected)
+            assert all(type(c.lower_ok) is bool and type(c.upper_ok) is bool for c in got)
+            _same_outcome(
+                _outcome(verify_sandwich, vectors, embedding),
+                _outcome(reference_sandwich_checks, vectors, space, family, alpha),
+            )
+
+    @pytest.mark.parametrize("slack", [None, -0.5, -1.0])
+    @pytest.mark.parametrize("alpha", [0.5, 1.0])
+    def test_overflowing_tests_match_reference_silently(self, slack, alpha):
+        # unit distances and balls of radius 1/4: the images are the
+        # coefficients on the ball centers, so apply_batch divides by
+        # powers of at least 1 and subtracts values of one sign; only the
+        # certificate's own sums and products overflow
+        space = line_grid(16)
+        family = find_pair_family(space, 0.25, 5)
+        m = len(family)
+        unit = [FiniteSequence.unit(k, m).entries for k in range(m)]
+        vectors = [
+            FiniteSequence(tuple(scale * v for v in entries))
+            for scale in (1.7e308, -1.7e308, 7e307, -1.0)
+            for entries in unit[:2]
+        ]
+        vectors.insert(3, FiniteSequence((6e307,) * m))
+        vectors.insert(5, FiniteSequence((0.0,) * m))
+        embedding = build_support_map(space, family, alpha)
+        record = Tolerances(sandwich_rel=slack)
+        with nullcontext() if slack is None else patch.object(tolerances, "DEFAULT_TOLERANCES", record):
+            expected = [
+                reference_sandwich_checks(vectors, space, family, alpha, False),
+                _outcome(reference_sandwich_checks, vectors, space, family, alpha),
+                _outcome(reference_distortion_report, space, family, alpha, vectors),
+            ]
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = [
+                    verify_sandwich(vectors, embedding, raise_on_violation=False),
+                    _outcome(verify_sandwich, vectors, embedding),
+                    _outcome(distortion_report, space, family, alpha, vectors),
+                ]
+        assert any(c.image_holder_norm == np.inf for c in expected[0])
+        assert repr(got[0]) == repr(expected[0])
+        for g, e in zip(got[1:], expected[1:]):
+            _same_outcome(g, e)
 
     def test_single_vector_check_matches_report(self, harmonic_setup):
         space, family = harmonic_setup
@@ -471,6 +549,24 @@ class TestEmbedCb:
         assert expected[0] is InvalidInputError
         for batch in ([bad], [good, bad]):
             assert _outcome(tent_images, batch, self.space, centers, radii) == expected
+
+    @pytest.mark.parametrize(
+        "third, fourth",
+        [(0.0, 0.45), (-1, 0.45), (float("nan"), 0.45), ("abc", 0.45), ("abc", -1.0), (-1.0, "abc")],
+    )
+    def test_refused_radius_is_that_of_validate_radius(self, third, fourth):
+        radii = [0.45, 0.45, third, fourth, 0.45]
+        vectors = [FiniteSequence((0.5,) * 5)] * 3
+
+        def raised(fn, *args):
+            with pytest.raises(Exception) as exc:
+                fn(*args)
+            return type(exc.value), str(exc.value)
+
+        # the first radius validate_radius refuses, with its own error
+        expected = raised(lambda: [validate_radius(r) for r in radii])
+        assert raised(tent_images, vectors, self.space, self.centers, radii) == expected
+        assert raised(embed_cb, vectors[0], self.space, self.centers, radii) == expected
 
     def test_empty_batch(self):
         images = tent_images([], self.space, self.centers, self.radii)
@@ -646,6 +742,22 @@ class TestFiniteSequence:
         assert len(vecs) == 4
         assert vecs[0].entries == (1.0, 0.0, 0.0)
         assert vecs[-1].entries == (1.0, -1.0, 1.0)
+
+    def test_constructors_match_generator_definitions(self):
+        rng = random.Random(64)
+        pool = (0.0, -0.0, 1.0, -1.0, 2.5, -2.5, 5e-324, -1.7e308)
+        for length in range(65):
+            wave = FiniteSequence.alternating(length).entries
+            assert repr(wave) == repr(tuple(1.0 if i % 2 == 0 else -1.0 for i in range(length)))
+            for k in range(length):
+                unit = FiniteSequence.unit(k, length).entries
+                assert repr(unit) == repr(tuple(1.0 if i == k else 0.0 for i in range(length)))
+            for k in (-1, length):
+                with pytest.raises(InvalidInputError, match="out of range"):
+                    FiniteSequence.unit(k, length)
+            for entries in ((-0.0,) * length, tuple(rng.choice(pool) for _ in range(length))):
+                old = max((abs(v) for v in entries), default=0.0)
+                assert repr(FiniteSequence(entries).sup_value) == repr(old)
 
     def test_nonfinite_rejected(self):
         with pytest.raises(InvalidInputError):

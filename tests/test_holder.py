@@ -14,7 +14,6 @@ from wbslab.holder import (
     holder_norm,
     holder_seminorm,
     pair_bump,
-    power_diff_check,
     sup_norm,
     tent_bump,
     validate_alpha,
@@ -22,7 +21,7 @@ from wbslab.holder import (
 from wbslab.metric import FiniteMetricSpace, find_pair_family
 from wbslab.samples import harmonic_with_zero, line_grid
 
-from oracles import restrict_field
+from oracles import power_diff_check, restrict_field
 
 
 def brute_seminorm(f: ScalarField, alpha: float) -> float:

@@ -18,7 +18,6 @@ from wbslab.schreier import (
     SchreierSet,
     count_max_at_most,
     get_enumeration,
-    is_maximal_schreier,
 )
 
 from oracles import (
@@ -26,6 +25,7 @@ from oracles import (
     _reference_count,
     brute_force_schreier,
     brute_force_schreier_alt,
+    is_maximal_schreier,
     order_key,
     reference_grade_of_rank,
     reference_rank_of,

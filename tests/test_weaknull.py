@@ -8,7 +8,7 @@ import pytest
 
 from wbslab import weaknull
 from wbslab.errors import CertificateViolationError, InvalidInputError, NeedsMoreDataError
-from wbslab.schreier import SchreierSet, get_enumeration, is_maximal_schreier
+from wbslab.schreier import SchreierSet, get_enumeration
 from wbslab.weaknull import (
     SequenceOracle,
     Subsequence,
@@ -17,7 +17,7 @@ from wbslab.weaknull import (
     find_weak_witness,
 )
 
-from oracles import brute_force_schreier, reference_rule_terms
+from oracles import brute_force_schreier, is_maximal_schreier, reference_rule_terms
 
 HALF = Fraction(1, 2)
 
