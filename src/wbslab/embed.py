@@ -124,11 +124,11 @@ class FiniteSequence:
     def unit(cls, k: int, length: int) -> "FiniteSequence":
         if not 0 <= k < length:
             raise InvalidInputError(f"unit index {k} out of range for length {length}")
-        return cls((0.0,) * k + (1.0,) + (0.0,) * (length - k - 1))
+        return cls(tuple(1.0 if i == k else 0.0 for i in range(length)))
 
     @classmethod
     def alternating(cls, length: int) -> "FiniteSequence":
-        return cls(((1.0, -1.0) * ((length + 1) // 2))[:length])
+        return cls(tuple(1.0 if i % 2 == 0 else -1.0 for i in range(length)))
 
     def to_json(self) -> list[float]:
         return list(self.entries)
@@ -374,14 +374,9 @@ def tent_images(
                 f"lengths disagree: {m} coefficients, {len(centers)} centers, "
                 f"{len(radii)} radii"
             )
-    try:
-        checked = tuple(map(float, radii))
-    except (TypeError, ValueError, OverflowError):
-        checked = None
-    if checked is None or not all(map((0.0).__lt__, checked)):  # NaN is not positive either
-        checked = tuple(map(validate_radius, radii))  # raises at the first refused radius
-    key = ("tent", tuple(centers), checked)
-    owner, cols, tents = _memoized(space, key, lambda: _tent_map(space, centers, checked))
+    radii = tuple(map(validate_radius, radii))
+    key = ("tent", tuple(centers), radii)
+    owner, cols, tents = _memoized(space, key, lambda: _tent_map(space, centers, radii))
     coeffs = _matrix(vectors, len(centers))
     values = np.zeros((len(vectors), len(space)))
     values[:, cols] = coeffs[:, owner] * tents

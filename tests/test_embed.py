@@ -743,18 +743,10 @@ class TestFiniteSequence:
         assert vecs[0].entries == (1.0, 0.0, 0.0)
         assert vecs[-1].entries == (1.0, -1.0, 1.0)
 
-    def test_constructors_match_generator_definitions(self):
+    def test_sup_value_matches_generator_definition(self):
         rng = random.Random(64)
         pool = (0.0, -0.0, 1.0, -1.0, 2.5, -2.5, 5e-324, -1.7e308)
         for length in range(65):
-            wave = FiniteSequence.alternating(length).entries
-            assert repr(wave) == repr(tuple(1.0 if i % 2 == 0 else -1.0 for i in range(length)))
-            for k in range(length):
-                unit = FiniteSequence.unit(k, length).entries
-                assert repr(unit) == repr(tuple(1.0 if i == k else 0.0 for i in range(length)))
-            for k in (-1, length):
-                with pytest.raises(InvalidInputError, match="out of range"):
-                    FiniteSequence.unit(k, length)
             for entries in ((-0.0,) * length, tuple(rng.choice(pool) for _ in range(length))):
                 old = max((abs(v) for v in entries), default=0.0)
                 assert repr(FiniteSequence(entries).sup_value) == repr(old)
