@@ -374,8 +374,8 @@ def tent_images(
                 f"lengths disagree: {m} coefficients, {len(centers)} centers, "
                 f"{len(radii)} radii"
             )
-    radii = tuple(map(validate_radius, radii))
-    key = ("tent", tuple(centers), radii)
+    # radii are checked on a miss only: a stored key holds accepted radii, a refused one is never stored
+    key = ("tent", tuple(centers), tuple(radii))
     owner, cols, tents = _memoized(space, key, lambda: _tent_map(space, centers, radii))
     coeffs = _matrix(vectors, len(centers))
     values = np.zeros((len(vectors), len(space)))
@@ -383,8 +383,9 @@ def tent_images(
     return values
 
 
-def _tent_map(space: FiniteMetricSpace, centers: list[str], radii: tuple[float, ...]) -> tuple:
+def _tent_map(space: FiniteMetricSpace, centers: list[str], radii: list[float]) -> tuple:
     """The owner, column and tent value of every point inside a ball; the balls must be disjoint."""
+    radii = tuple(map(validate_radius, radii))
     members = space.balls(centers, radii)
     clash = np.nonzero(members.sum(axis=0) > 1)[0]
     if clash.size:
