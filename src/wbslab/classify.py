@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from functools import total_ordering
 
 from .errors import InvalidInputError
-from .inputs import cell_masses, from_decimal, to_decimal
+from .inputs import cell_masses, from_decimal, parse_int, to_decimal
 
 __all__ = [
     "Ordinal",
@@ -65,7 +65,7 @@ class Ordinal:
     terms: tuple[tuple["Ordinal", int], ...] = ()
 
     def __post_init__(self):
-        terms = tuple((e, int(c)) for e, c in self.terms)
+        terms = tuple((e, parse_int(c)) for e, c in self.terms)
         object.__setattr__(self, "terms", terms)
         for e, c in terms:
             if not isinstance(e, Ordinal):
@@ -86,7 +86,7 @@ class Ordinal:
 
     @classmethod
     def from_int(cls, n: int) -> "Ordinal":
-        n = int(n)
+        n = parse_int(n)
         if n < 0:
             raise InvalidInputError(f"ordinal from a negative integer: {to_decimal(n)}")
         if n == 0:
@@ -370,6 +370,7 @@ def classify_calpha(point_count: int | float) -> Verdict:
 
     Pass math.inf for an infinite space; infiniteness of a user-supplied
     space has no finite witness, so the verdict records the assumption.
+    Any other count is read by ``parse_int``, so floats are refused.
     """
     if point_count == math.inf:
         return Verdict(
@@ -382,9 +383,9 @@ def classify_calpha(point_count: int | float) -> Verdict:
             ),
             assumption="infinite space (no finite witness; caller-supplied)",
         )
-    count = int(point_count)
+    count = parse_int(point_count)
     if count < 1:
-        raise InvalidInputError(f"point count must be >= 1, got {point_count}")
+        raise InvalidInputError(f"point count must be >= 1, got {to_decimal(count)}")
     return Verdict(
         space_family="Calpha",
         wbs=True,

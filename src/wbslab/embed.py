@@ -27,22 +27,23 @@ radius and overlap checks) keyed by its centers and radii, and the
 tables of ``build_support_map`` (after ``verify_pair_family``) keyed by
 the family and alpha.  The memo is weakly keyed on the space and holds
 only read-only tables, never the space, so its entries die with their
-space; each space keeps at most ``_MEMO_PER_SPACE`` of them, least
-recently used out first.  A build that raises stores nothing, so a
-refused input is refused again on every call.
+space; each space keeps at most ``_MEMO_BYTES`` of table bytes (the
+arrays' ``nbytes``), least recently used out first.  A build that
+raises stores nothing, and creates no entry for its space, so a refused
+input is refused again on every call.
 """
 
 from __future__ import annotations
 
 import math
 import weakref
-from collections import OrderedDict
 from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
 
 from . import tolerances
+from ._lru import ByteLRU
 from .errors import (
     CertificateViolationError,
     InconsistentFamilyError,
@@ -69,8 +70,9 @@ __all__ = [
     "embed_linf",
 ]
 
-# Verified operator tables kept per space, tent maps and Holder tables alike.
-_MEMO_PER_SPACE = 8
+# Bytes of operator tables kept per space, tent maps and Holder tables
+# alike: three den tables (20 MB each) of a 1600-point space all support.
+_MEMO_BYTES = 64 << 20
 _memo: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
@@ -80,18 +82,13 @@ def _memoized(space: FiniteMetricSpace, key, build):
     build must not return anything that refers to space, or the entry
     would keep its own key alive.
     """
-    entries = _memo.get(space)
-    tables = None if entries is None else entries.get(key)
-    if tables is not None:
-        entries.move_to_end(key)
-        return tables
-    tables = build()
-    for table in tables:
-        table.setflags(write=False)
-    entries = _memo.setdefault(space, OrderedDict())
-    entries[key] = tables
-    if len(entries) > _MEMO_PER_SPACE:
-        entries.popitem(last=False)
+    cache = _memo.get(space)
+    tables = None if cache is None else cache.get(key)
+    if tables is None:
+        tables = build()
+        for table in tables:
+            table.setflags(write=False)
+        _memo.setdefault(space, ByteLRU(_MEMO_BYTES)).put(key, tables, sum(t.nbytes for t in tables))
     return tables
 
 
@@ -253,19 +250,14 @@ class SandwichCheck:
         }
 
 
-def verify_sandwich(
-    vectors: list[FiniteSequence],
-    embedding: HolderEmbedding,
-    raise_on_violation: bool = True,
-) -> list[SandwichCheck]:
+def verify_sandwich(vectors: list[FiniteSequence], embedding: HolderEmbedding) -> list[SandwichCheck]:
     """Certify sup(a) <= ||T(a)|| <= (2/K**alpha + 1) * sup(a) for each a.
 
     One record per vector from the arrays of ``_certify``, for the sandwich
-    suite and the CLI.  A violation raises CertificateViolationError
-    carrying the first offending vector (or is returned in its check when
-    raise_on_violation is False, so suites can collect rather than abort).
+    suite.  A violation is returned in its vector's check, so the suite
+    collects failures rather than aborting; ``distortion_report`` raises.
     """
-    norm, sup_a, lower_ok, upper_ok = _certify(vectors, embedding, raise_on_violation)
+    norm, sup_a, lower_ok, upper_ok = _certify(vectors, embedding)
     bound_upper = embedding.bound_upper
     return [
         SandwichCheck(s, n, (n / s) if s > 0 else None, bound_upper, lo, up)
@@ -273,13 +265,13 @@ def verify_sandwich(
     ]
 
 
-def _certify(vectors: list[FiniteSequence], embedding: HolderEmbedding, raise_on_violation: bool) -> tuple:
+def _certify(vectors: list[FiniteSequence], embedding: HolderEmbedding) -> tuple:
     """Image norms, coefficient sups and both sandwich tests of a batch, as arrays.
 
     Each test, with relative slack, is one array expression with the
     scalar test's operands in its order, so each flag is the scalar
     test's bit for bit, inf and NaN from overflow included (silent, as
-    with Python floats).  The first vector failing a test is the witness.
+    with Python floats).
     """
     coeffs = embedding.coefficients(vectors)
     sups, seminorms = embedding.apply_batch(coeffs)
@@ -290,15 +282,6 @@ def _certify(vectors: list[FiniteSequence], embedding: HolderEmbedding, raise_on
         norm = sups + seminorms
         lower_ok = sup_a <= norm * (1.0 + slack) + slack * np.maximum(1.0, sup_a)
         upper_ok = norm <= bound_upper * sup_a * (1.0 + slack) + slack
-    ok = lower_ok & upper_ok
-    if raise_on_violation and not ok.all():
-        i = int(ok.argmin())  # the first False
-        side = "lower" if not lower_ok[i] else "upper"
-        raise CertificateViolationError(
-            f"{side} embedding bound violated: sup(a)={float(sup_a[i])!r}, "
-            f"norm={float(norm[i])!r}, upper bound {bound_upper!r}",
-            witness=vectors[i],
-        )
     return norm, sup_a, lower_ok, upper_ok
 
 
@@ -338,13 +321,23 @@ def distortion_report(
     """Measure the embedding's distortion over the given nonzero vectors.
 
     The ratios are read from the arrays of ``_certify``, the kernel of
-    ``verify_sandwich``; the first vector failing a bound is the witness.
+    ``verify_sandwich``.  A vector failing a bound raises
+    CertificateViolationError, the first such vector its witness.
     """
     nonzero = [a for a in vectors if a.sup_value != 0]
     if not nonzero:
         raise InvalidInputError("no nonzero vectors supplied")
     embedding = build_support_map(space, family, alpha)
-    norm, sup_a, _, _ = _certify(nonzero, embedding, True)
+    norm, sup_a, lower_ok, upper_ok = _certify(nonzero, embedding)
+    ok = lower_ok & upper_ok
+    if not ok.all():
+        i = int(ok.argmin())  # the first False
+        side = "lower" if not lower_ok[i] else "upper"
+        raise CertificateViolationError(
+            f"{side} embedding bound violated: sup(a)={float(sup_a[i])!r}, "
+            f"norm={float(norm[i])!r}, upper bound {embedding.bound_upper!r}",
+            witness=nonzero[i],
+        )
     ratios = norm / sup_a
     worst = int(ratios.argmax())  # the first maximum
     return EmbeddingReport(

@@ -135,7 +135,7 @@ def _sandwich_suite(config: ExperimentConfig) -> ExperimentResult:
             for _ in range(20)
         ]
         nonzero = [vec for vec in vectors if vec.sup_value != 0]
-        checks = verify_sandwich(nonzero, embedding, raise_on_violation=False)
+        checks = verify_sandwich(nonzero, embedding)
         ratios = [check.ratio for check in checks]
         sandwich_ok = True
         for vec, check in zip(nonzero, checks):

@@ -19,13 +19,14 @@ from __future__ import annotations
 import math
 import sys
 from bisect import bisect_left
-from collections import OrderedDict, namedtuple
+from collections import namedtuple
 from dataclasses import dataclass
 from itertools import islice, takewhile
 from math import comb
 from operator import lt
 from typing import Iterable, Iterator
 
+from ._lru import ByteLRU
 from .errors import InvalidInputError
 from .inputs import parse_int, parse_ints, to_decimal
 
@@ -149,59 +150,34 @@ _MAX_GRADE = 10**7
 _NEAR_PAIR_RATIO = 16
 
 
-class _FibonacciCache:
-    """F(n), kept in LRU order under a budget of bytes.
+class _FibonacciCache(ByteLRU):
+    """F(n), kept in LRU order under a budget of bytes, each sized by sys.getsizeof.
 
-    Counts grow by 0.7 bits per grade, so a cap on the number of entries
-    would not bound memory.  A miss evaluates (F(n), F(n + 1)) and keeps
-    both: ranking or unranking in grade n + 1 needs exactly these two.
+    A miss evaluates (F(n), F(n + 1)) and keeps both: ranking or
+    unranking in grade n + 1 needs exactly these two.
     The pair is derived from the nearest cached pair (F(p), F(p + 1)),
     both counts present, when |n - p| <= n / _NEAR_PAIR_RATIO, and by
     Fibonacci-Lucas doubling otherwise.  Reading that pair neither
-    counts as a hit nor moves it in the LRU order.  A value larger than
-    the whole budget is returned but not kept.
+    counts as a hit nor moves it in the LRU order.
     """
 
-    def __init__(self, maxbytes: int):
-        self.maxbytes = maxbytes
-        self.cache_clear()
-
     def __call__(self, n: int) -> int:
-        value = self._entries.get(n)
-        if value is not None:
-            self._hits += 1
-            self._entries.move_to_end(n)
-            return value
-        self._misses += 1
-        value, after = self._pair(n)
-        self._keep(n + 1, after)
-        self._keep(n, value)
+        value = self.get(n)
+        if value is None:
+            value, after = self._pair(n)
+            self.put(n + 1, after, sys.getsizeof(after))
+            self.put(n, value, sys.getsizeof(value))
         return value
 
     def _pair(self, n: int) -> tuple[int, int]:
         entries = self._entries
         p = min((q for q in entries if q + 1 in entries), key=lambda q: abs(n - q), default=None)
         if p is not None and _NEAR_PAIR_RATIO * abs(n - p) <= n:
-            return _fib_pair_from(n, p, entries[p], entries[p + 1])
+            return _fib_pair_from(n, p, entries[p][0], entries[p + 1][0])
         return _fib_pair(n)
 
-    def _keep(self, n: int, value: int) -> None:
-        old = self._entries.pop(n, None)
-        if old is not None:
-            self._nbytes -= sys.getsizeof(old)
-        self._entries[n] = value
-        self._nbytes += sys.getsizeof(value)
-        while self._nbytes > self.maxbytes:
-            self._nbytes -= sys.getsizeof(self._entries.popitem(last=False)[1])
-
     def cache_info(self) -> CountCacheInfo:
-        return CountCacheInfo(
-            self._hits, self._misses, len(self._entries), self._nbytes, self.maxbytes
-        )
-
-    def cache_clear(self) -> None:
-        self._entries: OrderedDict[int, int] = OrderedDict()
-        self._hits = self._misses = self._nbytes = 0
+        return CountCacheInfo(self.hits, self.misses, len(self._entries), self.nbytes, self.maxbytes)
 
 
 _COUNTS = _FibonacciCache(_COUNT_CACHE_BYTES)
@@ -227,7 +203,7 @@ def count_max_at_most(n: int) -> int:
 
 
 count_max_at_most.cache_info = _COUNTS.cache_info
-count_max_at_most.cache_clear = _COUNTS.cache_clear
+count_max_at_most.cache_clear = _COUNTS.clear
 
 
 def count_with_max(n: int) -> int:

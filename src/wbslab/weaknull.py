@@ -23,13 +23,14 @@ than papered over:
 
 from __future__ import annotations
 
-from collections import OrderedDict
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, chain, count, islice, repeat
 from operator import lt, mul
 from typing import Iterable, Iterator, Sequence
 
+from ._lru import ByteLRU
 from .errors import (
     CertificateViolationError,
     InvalidInputError,
@@ -52,8 +53,10 @@ __all__ = [
 # (e.g. a geometric subsequence with a large N); fail loudly instead
 DEFAULT_MAX_TERMS = 1_000_000
 
-# unranked sets a SequenceOracle keeps, least recently used evicted first
-_MAX_CACHED_SETS = 4096
+# Bytes of unranked sets a SequenceOracle keeps: the cesaro-suite holds
+# 428, 424 and 448 sets (1.17, 1.18 and 1.29 MB) at seeds 0-2, evicting
+# none, and one affine:6 witness at N = 1000 takes 693 kB.
+_SET_CACHE_BYTES = 64 << 20
 
 
 class SequenceOracle:
@@ -61,29 +64,27 @@ class SequenceOracle:
 
     Deterministic: the same (k, i) always yields the same entry.  The
     unranked sets of the most recently queried coordinates are cached in
-    LRU order, so repeated entries along one coordinate cost one
-    unranking total.
+    LRU order under ``_SET_CACHE_BYTES``, each sized once, when stored,
+    from the frozenset and its elements; so repeated entries along one
+    coordinate cost one unranking total.
     """
 
     def __init__(self, enumeration: CanonicalEnumeration | str = "canonical"):
         if isinstance(enumeration, str):
             enumeration = get_enumeration(enumeration)
         self.enumeration = enumeration
-        self._sets: OrderedDict[int, frozenset[int]] = OrderedDict()
+        self._sets = ByteLRU(_SET_CACHE_BYTES)
 
     def coordinate_set(self, i: int) -> frozenset[int]:
         i = parse_int(i)
         if i < 1:
             raise InvalidInputError(f"coordinate must be >= 1, got {to_decimal(i)}")
-        cached = self._sets.get(i)
-        if cached is not None:
-            self._sets.move_to_end(i)
-            return cached
-        cached = frozenset(self.enumeration.unrank(i).elements)
-        self._sets[i] = cached
-        if len(self._sets) > _MAX_CACHED_SETS:
-            self._sets.popitem(last=False)
-        return cached
+        members = self._sets.get(i)
+        if members is None:
+            members = frozenset(self.enumeration.unrank(i).elements)
+            # no element exceeds the largest grade, nor takes more bytes
+            self._sets.put(i, members, sys.getsizeof(members) + len(members) * sys.getsizeof(_MAX_GRADE))
+        return members
 
     def entry(self, k: int, i: int) -> int:
         """1 iff k belongs to the i-th set of the enumeration."""

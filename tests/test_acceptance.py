@@ -162,7 +162,7 @@ def test_criterion_4_sandwich():
             for vec in vectors:
                 if vec.sup_value == 0:
                     continue
-                check = verify_sandwich([vec], embedding, raise_on_violation=False)[0]
+                check = verify_sandwich([vec], embedding)[0]
                 if not check.lower_ok:
                     lower_failures.append((name, vec.to_json(), check.to_json()))
                 if not check.upper_ok:

@@ -92,6 +92,13 @@ class TestOrdinalType:
         with pytest.raises(InvalidInputError):
             parse_ordinal("w").as_int()
 
+    @pytest.mark.parametrize("bad", [2.5, 2.0, True, math.nan, None])
+    def test_integers_are_refused_not_truncated(self, bad):
+        with pytest.raises(InvalidInputError, match="expected a decimal integer"):
+            Ordinal.from_int(bad)
+        with pytest.raises(InvalidInputError, match="expected a decimal integer"):
+            Ordinal(((Ordinal.zero(), bad),))
+
 
 class TestDerivedSet:
     def test_headline_example(self):
@@ -223,6 +230,11 @@ class TestVerdicts:
         assert infinite.assumption is not None
         with pytest.raises(InvalidInputError):
             classify_calpha(0)
+
+    @pytest.mark.parametrize("bad", [2.5, 2.0, True, False, math.nan, -math.inf, None])
+    def test_calpha_refuses_what_is_not_an_integer(self, bad):
+        with pytest.raises(InvalidInputError, match="expected a decimal integer"):
+            classify_calpha(bad)
 
     def test_reason_matches_family(self):
         verdicts = [

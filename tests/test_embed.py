@@ -246,14 +246,18 @@ class TestSandwich:
     def test_violation_raises_with_witness(self, harmonic_setup, monkeypatch):
         space, family = harmonic_setup
         # impossible negative slack, patched into the pinned record, forces
-        # a reported violation
+        # a violation: the report raises it, the checks record it
         monkeypatch.setattr(tolerances, "DEFAULT_TOLERANCES", Tolerances(sandwich_rel=-1.0))
+        vectors = [FiniteSequence.unit(0, len(family))]
         with pytest.raises(CertificateViolationError) as exc:
-            verify_sandwich(
-                [FiniteSequence.unit(0, len(family))],
-                build_support_map(space, family, 0.5),
-            )
-        assert isinstance(exc.value.witness, FiniteSequence)
+            distortion_report(space, family, 0.5, vectors)
+        assert exc.value.witness is vectors[0]
+        _same_outcome(
+            _outcome(distortion_report, space, family, 0.5, vectors),
+            _outcome(reference_distortion_report, space, family, 0.5, vectors),
+        )
+        (check,) = verify_sandwich(vectors, build_support_map(space, family, 0.5))
+        assert not (check.lower_ok and check.upper_ok)
 
 
 class TestOperator:
@@ -398,7 +402,8 @@ class TestBatchKernel:
     )
     def test_checks_match_reference(self, kind, n, K, alpha, seed, slack, data):
         # the report's strategy, zero vectors included; a negative slack
-        # fails some vectors part way through the batch
+        # fails some vectors part way through the batch, which the checks
+        # record and the report raises
         space = _space(kind, n, seed)
         family = _family(space, K)
         embedding = build_support_map(space, family, alpha)
@@ -406,12 +411,12 @@ class TestBatchKernel:
         record = Tolerances(sandwich_rel=slack)
         with nullcontext() if slack is None else patch.object(tolerances, "DEFAULT_TOLERANCES", record):
             expected = reference_sandwich_checks(vectors, space, family, alpha, False)
-            got = verify_sandwich(vectors, embedding, raise_on_violation=False)
+            got = verify_sandwich(vectors, embedding)
             assert repr(got) == repr(expected)
             assert all(type(c.lower_ok) is bool and type(c.upper_ok) is bool for c in got)
             _same_outcome(
-                _outcome(verify_sandwich, vectors, embedding),
-                _outcome(reference_sandwich_checks, vectors, space, family, alpha),
+                _outcome(distortion_report, space, family, alpha, vectors),
+                _outcome(reference_distortion_report, space, family, alpha, vectors),
             )
 
     @pytest.mark.parametrize("slack", [None, -0.5, -1.0])
@@ -437,20 +442,17 @@ class TestBatchKernel:
         with nullcontext() if slack is None else patch.object(tolerances, "DEFAULT_TOLERANCES", record):
             expected = [
                 reference_sandwich_checks(vectors, space, family, alpha, False),
-                _outcome(reference_sandwich_checks, vectors, space, family, alpha),
                 _outcome(reference_distortion_report, space, family, alpha, vectors),
             ]
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 got = [
-                    verify_sandwich(vectors, embedding, raise_on_violation=False),
-                    _outcome(verify_sandwich, vectors, embedding),
+                    verify_sandwich(vectors, embedding),
                     _outcome(distortion_report, space, family, alpha, vectors),
                 ]
         assert any(c.image_holder_norm == np.inf for c in expected[0])
         assert repr(got[0]) == repr(expected[0])
-        for g, e in zip(got[1:], expected[1:]):
-            _same_outcome(g, e)
+        _same_outcome(got[1], expected[1])
 
     def test_single_vector_check_matches_report(self, harmonic_setup):
         space, family = harmonic_setup
@@ -581,7 +583,9 @@ def _copy(space: FiniteMetricSpace) -> FiniteMetricSpace:
 
 
 def _memo_keys(space: FiniteMetricSpace) -> list:
-    return list(wbslab.embed._memo.get(space, ()))
+    """The space's memo keys, least recently used first."""
+    cache = wbslab.embed._memo.get(space)
+    return [] if cache is None else list(cache._entries)
 
 
 class TestOperatorMemo:
@@ -667,6 +671,10 @@ class TestOperatorMemo:
             first = _outcome(fn, *args)
             assert isinstance(first, tuple) and _outcome(fn, *args) == first
         assert _memo_keys(line) == keys
+        fresh = _copy(line)  # a refusal on a space with no entry yet creates none
+        for fn, *args in refused:
+            assert isinstance(_outcome(fn, *[fresh if arg is line else arg for arg in args]), tuple)
+        assert fresh not in wbslab.embed._memo
         embedding = build_support_map(self.space, self.family, 0.5)
         for _ in range(2):
             with pytest.raises(InvalidInputError, match="vector length 1 != family size"):
@@ -687,26 +695,35 @@ class TestOperatorMemo:
         gc.collect()
         assert len(wbslab.embed._memo) == before
 
-    def test_per_space_bound(self):
-        bound = wbslab.embed._MEMO_PER_SPACE
-        scales = [1.0 / (k + 2) for k in range(2 * bound)]
+    def test_per_space_bound(self, monkeypatch):
+        scales = [1.0 / (k + 2) for k in range(16)]
 
-        def tents(scale):
-            return tent_images([], self.space, self.centers, [r * scale for r in self.radii])
+        def tents(space, scale):
+            return tent_images([], space, self.centers, [r * scale for r in self.radii])
 
+        sizing = _copy(self.space)
+        build_support_map(sizing, self.family, 0.5)
+        tents(sizing, scales[0])
+        holder_bytes, tent_bytes = (nbytes for _, nbytes in wbslab.embed._memo[sizing]._entries.values())
+        # room for the Holder tables and seven tent maps, all of one size
+        bound = 8
+        monkeypatch.setattr(wbslab.embed, "_MEMO_BYTES", holder_bytes + (bound - 1) * tent_bytes)
         build_support_map(self.space, self.family, 0.5)
         for scale in scales[: bound - 1]:
-            tents(scale)
+            tents(self.space, scale)
+        cache = wbslab.embed._memo[self.space]
         keys = _memo_keys(self.space)
-        assert len(keys) == bound
+        assert len(keys) == bound and cache.nbytes == cache.maxbytes
         build_support_map(self.space, self.family, 0.5)  # a hit: now the most recent
-        tents(scales[bound - 1])  # evicts the least recently used, the first tents
+        tents(self.space, scales[bound - 1])  # evicts the least recently used, the first tents
         assert len(_memo_keys(self.space)) == bound
         assert keys[0] in _memo_keys(self.space) and keys[1] not in _memo_keys(self.space)
-        for scale in scales[bound:]:  # bound new entries replace every older one
-            tents(scale)
-        assert len(_memo_keys(self.space)) == bound
-        assert not set(keys) & set(_memo_keys(self.space))
+        for scale in scales[bound:]:  # the newest entries replace every older one
+            tents(self.space, scale)
+            assert cache.nbytes <= cache.maxbytes
+        # the evicted Holder tables made room for two more tent maps
+        latest = [("tent", tuple(self.centers), tuple(r * scale for r in self.radii)) for scale in scales[bound - 1 :]]
+        assert _memo_keys(self.space) == latest and not set(keys) & set(latest)
 
 
 class TestEmbedLinf:

@@ -263,20 +263,52 @@ class TestCertificates:
 class TestOracleCache:
     def test_evicts_the_least_recently_used_set(self, monkeypatch):
         enum = get_enumeration("canonical")
+        # the sets {2, n}, one per grade, take the same bytes each
+        coords = [enum.rank_of(SchreierSet((2, n))) for n in range(3, 12)]
+        cap = len(coords) - 1
+        sizing = SequenceOracle(enum)
+        sizing.coordinate_set(coords[0])
+        monkeypatch.setattr(weaknull, "_SET_CACHE_BYTES", cap * sizing._sets.nbytes)
         unranked = []
         real = enum.unrank
         monkeypatch.setattr(enum, "unrank", lambda rank: unranked.append(rank) or real(rank))
         oracle = SequenceOracle(enum)
-        cap = weaknull._MAX_CACHED_SETS
-        for i in range(1, cap + 1):
+        for i in coords[:cap]:
             oracle.coordinate_set(i)
-        oracle.coordinate_set(1)
-        oracle.coordinate_set(cap + 1)
+        oracle.coordinate_set(coords[0])
+        oracle.coordinate_set(coords[cap])
         assert len(unranked) == cap + 1
-        oracle.coordinate_set(1)  # used recently: still cached
+        oracle.coordinate_set(coords[0])  # used recently: still cached
         assert len(unranked) == cap + 1
-        oracle.coordinate_set(2)  # the least recently used: evicted
-        assert unranked[-1] == 2 and len(unranked) == cap + 2
+        oracle.coordinate_set(coords[1])  # the least recently used: evicted
+        assert unranked[-1] == coords[1] and len(unranked) == cap + 2
+        assert (oracle._sets.hits, oracle._sets.misses) == (2, cap + 2)
+        assert oracle._sets.nbytes == oracle._sets.maxbytes
+
+    def test_a_loop_of_large_witnesses_stays_under_the_budget(self, monkeypatch):
+        # affine:s witnesses at N = 300 take 17-182 kB; the first one,
+        # read again after each certificate, is never the least recent
+        budget = 220_000
+        monkeypatch.setattr(weaknull, "_SET_CACHE_BYTES", budget)
+        oracle = SequenceOracle()
+        coords = []
+        for s in range(1, 7):
+            coords.append(certify_not_cesaro_null(Subsequence.affine(s), 300, oracle=oracle).witness_coordinate)
+            assert oracle._sets.nbytes <= budget
+            oracle.coordinate_set(coords[0])
+        assert list(oracle._sets._entries) == [coords[-1], coords[0]]
+        assert (oracle._sets.hits, oracle._sets.misses) == (6, 6)
+
+    @pytest.mark.parametrize("seed, sets", [(0, 428), (1, 424), (2, 448)])
+    def test_the_cesaro_suite_unranks_each_set_once(self, monkeypatch, seed, sets):
+        from wbslab.experiments import ExperimentConfig, run_experiment
+
+        enum = get_enumeration("canonical")
+        unranked = []
+        real = enum.unrank
+        monkeypatch.setattr(enum, "unrank", lambda rank: unranked.append(rank) or real(rank))
+        assert run_experiment("cesaro-suite", ExperimentConfig(seed=seed)).ok
+        assert len(unranked) == len(set(unranked)) == sets
 
 
 class TestWeakWitnessSearch:
