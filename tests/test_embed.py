@@ -721,8 +721,8 @@ class TestOperatorMemo:
         for scale in scales[bound:]:  # the newest entries replace every older one
             tents(self.space, scale)
             assert cache.nbytes <= cache.maxbytes
-        # the evicted Holder tables made room for two more tent maps
-        latest = [("tent", tuple(self.centers), tuple(r * scale for r in self.radii)) for scale in scales[bound - 1 :]]
+        # the Holder tables were evicted in turn: only the newest tent maps remain
+        latest = [("tent", tuple(self.centers), tuple(r * s for r in self.radii)) for s in scales[bound - 1 :]]
         assert _memo_keys(self.space) == latest and not set(keys) & set(latest)
 
 

@@ -293,7 +293,8 @@ class TestOracleCache:
         oracle = SequenceOracle()
         coords = []
         for s in range(1, 7):
-            coords.append(certify_not_cesaro_null(Subsequence.affine(s), 300, oracle=oracle).witness_coordinate)
+            cert = certify_not_cesaro_null(Subsequence.affine(s), 300, oracle=oracle)
+            coords.append(cert.witness_coordinate)
             assert oracle._sets.nbytes <= budget
             oracle.coordinate_set(coords[0])
         assert list(oracle._sets._entries) == [coords[-1], coords[0]]
