@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from functools import total_ordering
 
 from .errors import InvalidInputError
-from .inputs import cell_masses, from_decimal, parse_int, to_decimal
+from .inputs import cell_masses, from_decimal, parse_count, parse_int, to_decimal
 
 __all__ = [
     "Ordinal",
@@ -65,13 +65,11 @@ class Ordinal:
     terms: tuple[tuple["Ordinal", int], ...] = ()
 
     def __post_init__(self):
-        terms = tuple((e, parse_int(c)) for e, c in self.terms)
+        terms = tuple((e, parse_count(c, "coefficient")) for e, c in self.terms)
         object.__setattr__(self, "terms", terms)
-        for e, c in terms:
+        for e, _ in terms:
             if not isinstance(e, Ordinal):
                 raise InvalidInputError(f"exponent must be an Ordinal, got {type(e)}")
-            if c < 1:
-                raise InvalidInputError(f"coefficients must be positive, got {to_decimal(c)}")
         for (e1, _), (e2, _) in zip(terms, terms[1:]):
             if not e2 < e1:
                 raise InvalidInputError(
@@ -383,9 +381,7 @@ def classify_calpha(point_count: int | float) -> Verdict:
             ),
             assumption="infinite space (no finite witness; caller-supplied)",
         )
-    count = parse_int(point_count)
-    if count < 1:
-        raise InvalidInputError(f"point count must be >= 1, got {to_decimal(count)}")
+    count = parse_count(point_count, "point count")
     return Verdict(
         space_family="Calpha",
         wbs=True,

@@ -177,7 +177,10 @@ def _cmd_seminorm(args) -> int:
         values = values["values"]
     f = ScalarField(space, values)
     norms = {"sup_norm": sup_norm(f), "seminorm": holder_seminorm(f, args.alpha)}
-    return _emit(args, {"alpha": args.alpha, "holder_norm": holder_norm(f, args.alpha), **norms})
+    norm = holder_norm(f, args.alpha)
+    if not math.isfinite(norm):  # the seminorm or the sum overflowed
+        raise InvalidInputError(f"the Holder norm overflows the float range: {norm}")
+    return _emit(args, {"alpha": args.alpha, "holder_norm": norm, **norms})
 
 
 def _cmd_bump(args) -> int:

@@ -171,13 +171,14 @@ class HolderEmbedding:
         return _matrix(vectors, m)
 
     def apply_batch(self, coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Sup norms and seminorms of the V rows' images; temporaries hold V * |S| values."""
+        """Sup norms and seminorms (inf past the float range) of the V rows' images; V * |S| temporaries."""
         values = coeffs[:, self.owner] * self.weight
         mag = np.abs(values)
-        seminorms = (mag / self.off_min).max(axis=1, initial=0.0)
-        for i in range(len(self.support) - 1):
-            ratios = np.abs(values[:, i + 1 :] - values[:, i, None]) / self.den[i, i + 1 :]
-            np.maximum(seminorms, ratios.max(axis=1), out=seminorms)
+        with np.errstate(over="ignore"):
+            seminorms = (mag / self.off_min).max(axis=1, initial=0.0)
+            for i in range(len(self.support) - 1):
+                ratios = np.abs(values[:, i + 1 :] - values[:, i, None]) / self.den[i, i + 1 :]
+                np.maximum(seminorms, ratios.max(axis=1), out=seminorms)
         return mag.max(axis=1, initial=0.0), seminorms
 
 
@@ -321,17 +322,19 @@ def distortion_report(
     """Measure the embedding's distortion over the given nonzero vectors.
 
     The ratios are read from the arrays of ``_certify``, the kernel of
-    ``verify_sandwich``.  A vector failing a bound raises
-    CertificateViolationError, the first such vector its witness.
+    ``verify_sandwich``.  The first failing vector raises: InvalidInputError if
+    its norm overflowed, else CertificateViolationError with it as witness.
     """
     nonzero = [a for a in vectors if a.sup_value != 0]
     if not nonzero:
         raise InvalidInputError("no nonzero vectors supplied")
     embedding = build_support_map(space, family, alpha)
     norm, sup_a, lower_ok, upper_ok = _certify(nonzero, embedding)
-    ok = lower_ok & upper_ok
+    ok = lower_ok & upper_ok & np.isfinite(norm)
     if not ok.all():
         i = int(ok.argmin())  # the first False
+        if not math.isfinite(norm[i]):  # no bound holds on an overflowed norm
+            raise InvalidInputError(f"image norm overflows the float range at sup(a)={float(sup_a[i])!r}")
         side = "lower" if not lower_ok[i] else "upper"
         raise CertificateViolationError(
             f"{side} embedding bound violated: sup(a)={float(sup_a[i])!r}, "

@@ -12,7 +12,7 @@ import csv
 import datetime
 import json
 import random
-from dataclasses import asdict, dataclass, field
+from dataclasses import InitVar, asdict, dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
@@ -49,12 +49,20 @@ class ExperimentConfig:
 
 @dataclass
 class ExperimentResult:
+    """A suite's rows and failures; ``ok`` iff none was recorded (``replace(result, ok=False)`` records one)."""
+
     name: str
-    ok: bool
     config: ExperimentConfig
     rows: list[dict] = field(default_factory=list)
     failures: list[dict] = field(default_factory=list)
     artifacts: list[str] = field(default_factory=list)
+    ok: InitVar[bool]  # its default is the (truthy) property below
+
+    def __post_init__(self, ok) -> None:
+        if ok is False and not self.failures:
+            self.failures = [{"reason": "result marked not ok"}]
+
+    ok = property(lambda self: not self.failures)  # no failure recorded
 
     def to_json(self) -> dict:
         return {
@@ -77,7 +85,7 @@ def _cesaro_suite(config: ExperimentConfig) -> ExperimentResult:
     for _ in range(50):
         subs.append(Subsequence.seeded_increments(rng.randrange(2**31), max_step=3))
 
-    result = ExperimentResult("cesaro-suite", ok=True, config=config)
+    result = ExperimentResult("cesaro-suite", config)
     half = Fraction(1, 2)
     for sub in subs:
         for N in CESARO_N_VALUES:
@@ -94,7 +102,6 @@ def _cesaro_suite(config: ExperimentConfig) -> ExperimentResult:
             }
             result.rows.append(row)
             if not row["ok"]:
-                result.ok = False
                 result.failures.append({"rule": sub.description, "N": N, "certificate": payload})
     return result
 
@@ -118,7 +125,7 @@ def _instance_battery(config: ExperimentConfig):
 
 def _sandwich_suite(config: ExperimentConfig) -> ExperimentResult:
     """Seminorm bounds and two-sided embedding bounds over the battery."""
-    result = ExperimentResult("sandwich-suite", ok=True, config=config)
+    result = ExperimentResult("sandwich-suite", config)
     rng = np.random.default_rng(config.seed)
     slack = tolerances.DEFAULT_TOLERANCES.float_slack
     for name, space, family, alpha in _instance_battery(config):
@@ -137,11 +144,11 @@ def _sandwich_suite(config: ExperimentConfig) -> ExperimentResult:
         nonzero = [vec for vec in vectors if vec.sup_value != 0]
         checks = verify_sandwich(nonzero, embedding)
         ratios = [check.ratio for check in checks]
-        sandwich_ok = True
-        for vec, check in zip(nonzero, checks):
-            if not (check.lower_ok and check.upper_ok):
-                sandwich_ok = False
-                result.failures.append({"instance": name, "vector": vec.to_json(), "check": check.to_json()})
+        failed = [
+            {"instance": name, "vector": vec.to_json(), "check": check.to_json()}
+            for vec, check in zip(nonzero, checks) if not (check.lower_ok and check.upper_ok)
+        ]
+        result.failures += failed
         row = {
             "instance": name,
             "pairs": len(family),
@@ -150,14 +157,12 @@ def _sandwich_suite(config: ExperimentConfig) -> ExperimentResult:
             "ratio_lo": min(ratios),
             "ratio_hi": max(ratios),
             "ratio_bound": embedding.bound_upper,
-            "ok": bumps_ok and sandwich_ok,
+            "ok": bumps_ok and not failed,
         }
         result.rows.append(row)
-        if not row["ok"]:
-            result.ok = False
-            if not bumps_ok:
-                witness = {"seminorm_worst": seminorm_worst, "sup_worst": sup_worst, "bound": bound}
-                result.failures.append({"instance": name, **witness})
+        if not bumps_ok:
+            witness = {"seminorm_worst": seminorm_worst, "sup_worst": sup_worst, "bound": bound}
+            result.failures.append({"instance": name, **witness})
     return result
 
 
@@ -166,7 +171,7 @@ def _isometry_suite(config: ExperimentConfig) -> ExperimentResult:
     from .embed import embed_linf, tent_images
     from .samples import line_grid
 
-    result = ExperimentResult("isometry-suite", ok=True, config=config)
+    result = ExperimentResult("isometry-suite", config)
     rng = np.random.default_rng(config.seed)
     space = line_grid(12)
     centers = list(space.labels[:6])
@@ -182,7 +187,6 @@ def _isometry_suite(config: ExperimentConfig) -> ExperimentResult:
     result.rows.append(
         {"trials": trials, "exact_cb": exact_cb, "exact_linf": exact_linf, "ok": ok}
     )
-    result.ok = ok
     if not ok:
         result.failures.append({"exact_cb": exact_cb, "exact_linf": exact_linf})
     return result

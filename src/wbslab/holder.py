@@ -92,16 +92,16 @@ def sup_norm(f: ScalarField) -> float:
 def holder_seminorm(f: ScalarField, alpha: float) -> float:
     """Exact maximum of |f(x)-f(y)| / d(x,y)**alpha over distinct pairs.
 
-    Defined as 0 on singleton spaces (the sup over an empty pair set).
+    Defined as 0 on singleton spaces (the sup over an empty pair set); inf on overflow.
     """
     alpha = validate_alpha(alpha)
     n = len(f.space)
     if n < 2:
         return 0.0
     iu, ju = np.triu_indices(n, k=1)
-    num = np.abs(f.values[iu] - f.values[ju])
     den = f.space.dist[iu, ju] ** alpha
-    return float(np.max(num / den))
+    with np.errstate(over="ignore"):
+        return float(np.max(np.abs(f.values[iu] - f.values[ju]) / den))
 
 
 def holder_norm(f: ScalarField, alpha: float) -> float:

@@ -5,8 +5,8 @@ runs, so they live apart from the array modules that only some actions
 load.  Every big integer crosses text here, through `to_decimal` and
 `from_decimal`, whatever CPython's int/str digit limit is set to, and
 every JSON argument through `parse_json`.  Every integer argument of
-the exact half, from the CLI or a library caller, is read by `parse_int`,
-and every vector entry of the float half by `parse_floats`.
+the exact half, from the CLI or a library caller, is read by `parse_int`
+(a count by `parse_count`), and every vector entry by `parse_floats`.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from .errors import InvalidInputError
 
 __all__ = [
     "EXPERIMENT_NAMES", "cell_masses", "existing_file", "from_decimal", "json_type", "load_json",
-    "parse_floats", "parse_int", "parse_ints", "parse_json", "to_decimal",
+    "parse_count", "parse_floats", "parse_int", "parse_ints", "parse_json", "to_decimal",
 ]
 
 # The suites ``experiments.run_experiment`` runs, in run order.
@@ -112,6 +112,14 @@ def parse_int(value) -> int:
         return from_decimal(value)
     except ValueError:
         raise InvalidInputError(f"expected a decimal integer, got {value[:40]!r}") from None
+
+
+def parse_count(value, name: str) -> int:
+    """parse_int of value, refused below 1 in a message that names it."""
+    n = parse_int(value)
+    if n < 1:
+        raise InvalidInputError(f"{name} must be >= 1, got {to_decimal(n)}")
+    return n
 
 
 _PLAIN_INT = frozenset((int,))

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import tolerances
 from .errors import InvalidInputError, PairSearchFailure
-from .inputs import json_type, load_json
+from .inputs import json_type, load_json, parse_count, parse_floats
 
 __all__ = [
     "FiniteMetricSpace",
@@ -159,10 +159,22 @@ def _is_point(u, n: int) -> bool:
 
 
 def _float_array(data) -> np.ndarray:
+    """data as floats; a boolean entry, which float() would read as 0 or 1, is refused."""
     try:
-        return np.asarray(data, dtype=float)
+        arr = np.asarray(data, dtype=float)
     except (TypeError, ValueError, OverflowError) as exc:  # non-numeric, ragged or too large
         raise InvalidInputError(f"expected an array of numbers: {exc}") from None
+    if _holds_bool(data):
+        raise InvalidInputError("expected an array of numbers: got JSON boolean")
+    return arr
+
+
+def _holds_bool(data) -> bool:
+    """Whether data holds a bool: an array by its dtype, nested lists (as np.asarray took them) row by row."""
+    if isinstance(data, np.ndarray):
+        return data.dtype.kind == "b"
+    kinds = set(map(type, data)) if isinstance(data, (list, tuple)) else {type(data)}
+    return bool in kinds or not kinds.isdisjoint((list, tuple)) and any(map(_holds_bool, data))
 
 
 def default_labels(n: int) -> tuple[str, ...]:
@@ -222,18 +234,17 @@ def space_input(data) -> tuple:
 
 
 class FiniteMetricSpace:
-    """Labeled points with a validated, immutable distance matrix."""
+    """Labeled points with an immutable distance matrix; every instance passed `validate_metric`."""
 
-    def __init__(self, dist, labels: Sequence[str] | None = None, validate: bool = True):
+    def __init__(self, dist, labels: Sequence[str] | None = None):
         arr, labels = _metric_input(dist, labels)
-        if validate:
-            report = validate_metric(arr, labels)
-            if not report.ok:
-                first = report.violations[0]
-                raise InvalidInputError(
-                    f"not a metric: {len(report.violations)}+ violation(s), "
-                    f"first: {first.kind} at {first.points} ({first.detail})"
-                )
+        report = validate_metric(arr, labels)
+        if not report.ok:
+            first = report.violations[0]
+            raise InvalidInputError(
+                f"not a metric: {len(report.violations)}+ violation(s), "
+                f"first: {first.kind} at {first.points} ({first.detail})"
+            )
         arr = arr.copy()
         arr.setflags(write=False)
         self.labels = labels
@@ -343,7 +354,7 @@ class SeparatedPairFamily:
     @classmethod
     def from_json(cls, data: dict) -> "SeparatedPairFamily":
         try:
-            pairs, K = tuple((p[0], p[1]) for p in data["pairs"]), float(data["K"])
+            pairs, (K,) = tuple((p[0], p[1]) for p in data["pairs"]), parse_floats([data["K"]])
         except (KeyError, IndexError, TypeError, ValueError, OverflowError):
             raise InvalidInputError('family JSON needs "K" and "pairs": [[x, y], ...]') from None
         return cls(pairs, K)
@@ -351,8 +362,8 @@ class SeparatedPairFamily:
 
 @dataclass
 class PairFamilyReport:
-    ok: bool
     violations: list[dict] = field(default_factory=list)
+    ok = ValidationReport.ok  # no violation
 
     def to_json(self) -> dict:
         return {"ok": self.ok, "violations": self.violations}
@@ -395,7 +406,7 @@ def verify_pair_family(
                 "detail": f"point lies in {int(counts[p])} balls",
             }
         )
-    return PairFamilyReport(ok=not violations, violations=violations)
+    return PairFamilyReport(violations)
 
 
 _PREFIX = 4096  # candidates sorted in the first round of find_pair_family
@@ -428,8 +439,7 @@ def find_pair_family(
     failure the best family found is attached to the PairSearchFailure.
     """
     validate_separation(K)
-    if target_count < 1:
-        raise InvalidInputError(f"target_count must be >= 1, got {target_count}")
+    target_count = parse_count(target_count, "target_count")
     dist = space.dist
     flat = dist.ravel()
     accepted: list[tuple] = []  # (x, y, r, reach)

@@ -28,7 +28,7 @@ from typing import Iterable, Iterator
 
 from ._lru import ByteLRU
 from .errors import InvalidInputError
-from .inputs import parse_int, parse_ints, to_decimal
+from .inputs import parse_count, parse_ints, to_decimal
 
 __all__ = [
     "SchreierSet",
@@ -194,9 +194,7 @@ def count_max_at_most(n: int) -> int:
     ``cache_info()`` and ``cache_clear()`` inspect and empty the
     memory-bounded cache behind it.
     """
-    n = parse_int(n)
-    if n < 1:
-        raise InvalidInputError(f"n must be >= 1, got {to_decimal(n)}")
+    n = parse_count(n, "n")
     if n > _MAX_GRADE:
         raise InvalidInputError(f"n exceeds the largest supported grade, {_MAX_GRADE}")
     return _COUNTS(n)
@@ -387,13 +385,10 @@ def _rank_in_grade(s: SchreierSet) -> int:
 
 
 def _unrank_in_grade(n: int, index: int) -> SchreierSet:
+    """The set at 0-based position index of grade n; every caller derives an index in range."""
     if n == 1:
-        if index != 0:
-            raise InvalidInputError("grade 1 holds a single set")
         return SchreierSet((1,))
     size = count_with_max(n)
-    if not 0 <= index < size:
-        raise InvalidInputError(f"index exceeds grade {n}")
     if 2 * index < size:
         for m, block in _blocks_up(n):
             if index < block:
@@ -417,9 +412,7 @@ class CanonicalEnumeration:
 
     def unrank(self, rank: int) -> SchreierSet:
         """The rank-th maximal Schreier set (1-based)."""
-        rank = parse_int(rank)
-        if rank < 1:
-            raise InvalidInputError(f"rank must be >= 1, got {to_decimal(rank)}")
+        rank = parse_count(rank, "rank")
         n = _grade_of_rank(rank)
         within = rank - 1 if n == 1 else rank - count_max_at_most(n - 1) - 1
         return self._unrank_in_grade(n, within)

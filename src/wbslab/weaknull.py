@@ -36,7 +36,7 @@ from .errors import (
     InvalidInputError,
     NeedsMoreDataError,
 )
-from .inputs import from_decimal, parse_int, parse_ints, to_decimal
+from .inputs import from_decimal, parse_count, parse_int, parse_ints, to_decimal
 from .schreier import _MAX_GRADE, CanonicalEnumeration, SchreierSet, get_enumeration
 
 __all__ = [
@@ -76,9 +76,7 @@ class SequenceOracle:
         self._sets = ByteLRU(_SET_CACHE_BYTES)
 
     def coordinate_set(self, i: int) -> frozenset[int]:
-        i = parse_int(i)
-        if i < 1:
-            raise InvalidInputError(f"coordinate must be >= 1, got {to_decimal(i)}")
+        i = parse_count(i, "coordinate")
         members = self._sets.get(i)
         if members is None:
             members = frozenset(self.enumeration.unrank(i).elements)
@@ -88,9 +86,7 @@ class SequenceOracle:
 
     def entry(self, k: int, i: int) -> int:
         """1 iff k belongs to the i-th set of the enumeration."""
-        k = parse_int(k)
-        if k < 1:
-            raise InvalidInputError(f"index must be >= 1, got {to_decimal(k)}")
+        k = parse_count(k, "index")
         return 1 if k in self.coordinate_set(i) else 0
 
     def coordinatewise_null_check(self, i: int) -> int:
@@ -145,9 +141,7 @@ class Subsequence:
 
     def term(self, j: int) -> int:
         """The j-th term, 1-based, extending via the rule if present."""
-        j = parse_int(j)
-        if j < 1:
-            raise InvalidInputError(f"term index must be >= 1, got {to_decimal(j)}")
+        j = parse_count(j, "term index")
         if j > DEFAULT_MAX_TERMS:
             raise InvalidInputError(
                 f"term index {to_decimal(j)} exceeds the materialization cap {DEFAULT_MAX_TERMS}; "
@@ -205,9 +199,7 @@ class Subsequence:
         """
         import random
 
-        seed, max_step = parse_int(seed), parse_int(max_step)
-        if max_step < 1:
-            raise InvalidInputError(f"max_step must be >= 1, got {to_decimal(max_step)}")
+        seed, max_step = parse_int(seed), parse_count(max_step, "max_step")
         rng = random.Random(seed)
         steps = map(rng.randint, repeat(1), repeat(max_step))
         return cls(rule=accumulate(steps), description=f"random:{to_decimal(seed)},{to_decimal(max_step)}")
@@ -222,17 +214,14 @@ class Subsequence:
         text = text.strip()
         if text == "identity":
             return cls.identity()
-        for name, maker, arity in (
-            ("affine", cls.affine, 2),
-            ("geometric", cls.geometric, 2),
-            ("random", cls.seeded_increments, 2),
-        ):
+        rules = (("affine", cls.affine), ("geometric", cls.geometric), ("random", cls.seeded_increments))
+        for name, maker in rules:
             if text.startswith(name + ":"):
                 try:
                     args = [from_decimal(p) for p in text[len(name) + 1 :].split(",") if p.strip()]
                 except ValueError:
                     args = []
-                if not 1 <= len(args) <= arity:
+                if not 1 <= len(args) <= 2:  # every rule takes one or two arguments
                     raise InvalidInputError(f"bad rule arguments in {text!r}")
                 return maker(*args)
         try:
@@ -294,9 +283,7 @@ def certify_not_cesaro_null(
     the round trip returns another set or the mean ever fell below 1/2
     (which no valid input can trigger).
     """
-    N = parse_int(N)
-    if N < 1:
-        raise InvalidInputError(f"N must be >= 1, got {to_decimal(N)}")
+    N = parse_count(N, "N")
     if oracle is None:
         oracle = SequenceOracle()
     k_next = sub.term(N + 1)
@@ -310,10 +297,6 @@ def certify_not_cesaro_null(
         j = min(2 * j, need)
     tail = sub.terms(need)[N:]
     witness = SchreierSet(tail)
-    if len(witness) != k_next or witness.minimum != k_next:
-        raise CertificateViolationError(
-            "witness set is not maximal Schreier", witness=witness
-        )
     coord = oracle.enumeration.rank_of(witness)
     # the round trip is the certificate's only end-to-end check of the
     # enumeration; the oracle keeps the unranked set for later entries

@@ -17,7 +17,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, groupby
-from math import comb
+from math import comb, isfinite
 
 import numpy as np
 
@@ -240,14 +240,14 @@ def reference_rule_terms(rule: str, n: int) -> tuple[int, ...]:
 
 
 def restrict_space(space, subset):
-    """The induced submatrix on the given labels, in the given order, unvalidated."""
+    """The induced submatrix on the given labels, in the given order, validated like any space."""
     from wbslab.errors import InvalidInputError
     from wbslab.metric import FiniteMetricSpace
 
     idx = [space.index(label) for label in subset]
     if len(set(idx)) != len(idx):
         raise InvalidInputError("subset labels must be distinct")
-    return FiniteMetricSpace(space.dist[np.ix_(idx, idx)], tuple(subset), validate=False)
+    return FiniteMetricSpace(space.dist[np.ix_(idx, idx)], tuple(subset))
 
 
 def restrict_field(f, subset):
@@ -320,7 +320,7 @@ def reference_verify_pair_family(space, family):
                 "detail": f"point lies in {int(counts[p])} balls",
             }
         )
-    return PairFamilyReport(ok=not violations, violations=violations)
+    return PairFamilyReport(violations)
 
 
 # ---- reference metric checks: the per-k triangle loop and the tuple greedy ---
@@ -496,6 +496,8 @@ def reference_sandwich_checks(vectors, space, family, alpha, raise_on_violation=
         norm, sup_a = sup_f + seminorm, a.sup_value
         lower_ok = sup_a <= norm * (1.0 + slack) + slack * max(1.0, sup_a)
         upper_ok = norm <= bound_upper * sup_a * (1.0 + slack) + slack
+        if raise_on_violation and not isfinite(norm):
+            raise InvalidInputError(f"image norm overflows the float range at sup(a)={sup_a!r}")
         if raise_on_violation and not (lower_ok and upper_ok):
             side = "lower" if not lower_ok else "upper"
             raise CertificateViolationError(

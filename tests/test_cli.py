@@ -8,8 +8,10 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from wbslab.classify import FiniteMeasurePartition
@@ -311,6 +313,13 @@ class TestMetricAndPairs:
         ["embed", "linf", "--masses", "1", "--vector", "{deep}"],
         # a JSON boolean is not the number 1.0, even beside a numeric text
         ["embed", "linf", "--masses", "1,1", "--vector", "{booleans}"],
+        # ... nor 1.0 or 0.0 in a field, a distance matrix or a family's K
+        ["holder", "seminorm", "{space}", "[true, 0, 0, 0, 0, 0, 0, false]"],
+        ["metric", "validate", '{"matrix": [[0, true], [true, 0]]}'],
+        ["pairs", "verify", "{space}", '{"K": true, "pairs": [["p0", "p1"]]}'],
+        ["embed", "holder", "{space}", '{"K": true, "pairs": [["p0", "p1"]]}'],
+        # a norm past the float range is no norm to print
+        ["holder", "seminorm", "{space}", "[1e308, -1e308, 0, 0, 0, 0, 0, 0]"],
     ],
 )
 def test_malformed_arguments_are_json_errors(capsys, space_file, tmp_path, argv):
@@ -527,6 +536,23 @@ class TestHolderAndEmbed:
         )
         assert code == 0
         assert 1.0 <= payload["lower"] <= payload["upper"] <= payload["bound_upper"] + 1e-9
+
+    def test_embed_holder_refuses_an_overflowed_norm(self, capsys, tmp_path):
+        # the bound 4.03 * 1e308 overflows too, so an inf norm would pass it
+        points = np.random.default_rng(371441).uniform(0, 10, (10, 2)).tolist()
+        space_path, fam_path = tmp_path / "space.json", tmp_path / "family.json"
+        space_path.write_text(json.dumps({"points": points}))
+        fam_path.write_text(json.dumps(find_pair_family(load_space({"points": points}), 0.25, 5).to_json()))
+        vector = "1e308,-8.103189569590888e+307,0,0,0"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["embed", "holder", str(space_path), str(fam_path), "--alpha", "0.3", "--vector", vector])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert json.loads(captured.err) == {
+            "error": "InvalidInputError",
+            "message": "image norm overflows the float range at sup(a)=1e+308",
+        }
 
     def test_embed_cb(self, capsys, space_file):
         code, payload = run_cli(

@@ -1,4 +1,4 @@
-"""The decimal codec: integers of any length to text and back, and the integer rule."""
+"""The decimal codec: integers of any length to text and back, the integer rule and the count rule."""
 
 import random
 from fractions import Fraction
@@ -8,8 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wbslab.classify import Ordinal, classify_calpha
 from wbslab.errors import InvalidInputError
 from wbslab.inputs import from_decimal, load_json, parse_int, parse_ints, to_decimal
+from wbslab.metric import find_pair_family
+from wbslab.samples import line_grid
+from wbslab.schreier import CanonicalEnumeration, count_max_at_most
+from wbslab.weaknull import SequenceOracle, Subsequence, certify_not_cesaro_null
 
 from oracles import int_digit_limit
 
@@ -111,3 +116,32 @@ def test_parse_ints_reads_each_value_by_the_same_rule():
     assert values == (1, 2, 3) and all(type(v) is int for v in values)
     with pytest.raises(InvalidInputError, match="got JSON boolean"):
         parse_ints([1, 2, True])
+
+
+
+# (name in the message, call) for every reader of a count that must be >= 1
+COUNT_SITES = [
+    ("n", count_max_at_most),
+    ("rank", CanonicalEnumeration().unrank),
+    ("coordinate", SequenceOracle().coordinate_set),
+    ("index", lambda v: SequenceOracle().entry(v, 1)),
+    ("term index", Subsequence.identity().term),
+    ("max_step", lambda v: Subsequence.seeded_increments(0, v)),
+    ("N", lambda v: certify_not_cesaro_null(Subsequence.identity(), v)),
+    ("point count", classify_calpha),
+    ("target_count", lambda v: find_pair_family(line_grid(12), 0.5, v)),
+    ("coefficient", lambda v: Ordinal(((Ordinal.zero(), v),))),
+]
+
+
+@pytest.mark.parametrize(
+    "value, message",
+    [(0, "{name} must be >= 1, got 0"), (-1, "{name} must be >= 1, got -1"),
+     (2.5, "expected a decimal integer, got JSON number"), (True, "expected a decimal integer, got JSON boolean"),
+     ("x", "expected a decimal integer, got 'x'")],
+)
+@pytest.mark.parametrize("name, call", COUNT_SITES, ids=[name for name, _ in COUNT_SITES])
+def test_every_count_is_read_by_one_rule(name, call, value, message):
+    with pytest.raises(InvalidInputError) as excinfo:
+        call(value)
+    assert str(excinfo.value) == message.format(name=name)
