@@ -141,7 +141,7 @@ def _sandwich_suite(config: ExperimentConfig) -> ExperimentResult:
             FiniteSequence(tuple(rng.uniform(-2.0, 2.0, size=len(family))))
             for _ in range(20)
         ]
-        nonzero = [vec for vec in vectors if vec.sup_value != 0]
+        nonzero = [vec for vec in vectors if any(vec.entries)]  # finite entries: exactly sup_value != 0
         checks = verify_sandwich(nonzero, embedding)
         ratios = [check.ratio for check in checks]
         failed = [

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
+from .inputs import parse_floats
 from .metric import FiniteMetricSpace, _float_array, validate_separation
 
 __all__ = [
@@ -40,14 +41,14 @@ __all__ = [
 
 
 def validate_alpha(alpha: float) -> float:
-    alpha = float(alpha)
+    (alpha,) = parse_floats((alpha,))
     if not 0 < alpha <= 1:
         raise InvalidInputError(f"exponent must satisfy 0 < alpha <= 1, got {alpha}")
     return alpha
 
 
 def validate_radius(radius: float) -> float:
-    radius = float(radius)
+    (radius,) = parse_floats((radius,))
     if not radius > 0:  # NaN included
         raise InvalidInputError(f"radius must be positive, got {radius}")
     return radius
@@ -86,7 +87,7 @@ class ScalarField:
 
 
 def sup_norm(f: ScalarField) -> float:
-    return float(np.max(np.abs(f.values))) if len(f.values) else 0.0
+    return float(np.abs(f.values).max(initial=0.0))
 
 
 def holder_seminorm(f: ScalarField, alpha: float) -> float:

@@ -93,7 +93,11 @@ def validate_metric(
     pairs are then rescanned per k, to report k-major, then row-major
     with i < j, up to the cap.
     """
-    arr, labels = _metric_input(dist, labels)
+    return _check_metric(*_metric_input(dist, labels), max_reported)
+
+
+def _check_metric(arr: np.ndarray, labels: tuple[str, ...], max_reported: int = 50) -> ValidationReport:
+    """validate_metric's report on the matrix and labels _metric_input returned."""
     rel = tolerances.DEFAULT_TOLERANCES.triangle_rel
     n = arr.shape[0]
 
@@ -238,7 +242,7 @@ class FiniteMetricSpace:
 
     def __init__(self, dist, labels: Sequence[str] | None = None):
         arr, labels = _metric_input(dist, labels)
-        report = validate_metric(arr, labels)
+        report = _check_metric(arr, labels)
         if not report.ok:
             first = report.violations[0]
             raise InvalidInputError(
@@ -289,8 +293,8 @@ class FiniteMetricSpace:
         dist = np.full((n, n), np.inf)
         np.fill_diagonal(dist, 0.0)
         for u, v, w in edges:
-            try:  # an int or Fraction past the float range overflows
-                weight = float(w) if isinstance(w, Real) else math.nan
+            try:  # an int or Fraction past the float range overflows; a bool is no weight
+                weight = float(w) if isinstance(w, Real) and not isinstance(w, bool) else math.nan
             except OverflowError:
                 weight = math.inf
             if not (_is_point(u, n) and _is_point(v, n) and math.isfinite(weight)):
@@ -324,6 +328,7 @@ def load_space(source) -> FiniteMetricSpace:
 
 def validate_separation(K: float) -> float:
     """K itself if it is a separation constant, in (0, 1]."""
+    parse_floats((K,))  # refuses a bool, which would compare as 0 or 1
     if not 0 < K <= 1:  # NaN included
         raise InvalidInputError(f"separation constant must be in (0, 1], got {K}")
     return K

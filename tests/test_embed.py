@@ -4,6 +4,7 @@ import gc
 import random
 import subprocess
 import sys
+import tracemalloc
 import warnings
 import weakref
 from contextlib import nullcontext
@@ -15,6 +16,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import wbslab.embed
+from wbslab._lru import ByteLRU
 from wbslab.embed import (
     FiniteSequence,
     build_support_map,
@@ -328,9 +330,12 @@ class TestBatchKernel:
         st.sampled_from((0.25, 0.5, 1.0)),
         ALPHAS,
         st.integers(0, 10**6),
+        st.booleans(),
         st.data(),
     )
-    def test_apply_batch_matches_reference_bitwise(self, kind, n, shape, K, alpha, seed, data):
+    def test_apply_batch_matches_reference_bitwise(self, kind, n, shape, K, alpha, seed, one_pair_blocks, data):
+        # a block budget of one pair per block runs the scan's block
+        # boundaries at every pair
         space = _space(kind, n, seed)
         accept = nullcontext()
         if shape == "found":
@@ -355,10 +360,39 @@ class TestBatchKernel:
         assert (len(embedding.support) == len(space)) == (shape == "cover")
         vectors = _vectors(data, len(family), 6)
         coeffs = np.array([a.entries for a in vectors]).reshape(len(vectors), len(family))
-        sups, seminorms = embedding.apply_batch(coeffs)
+        with patch.object(wbslab.embed, "_BLOCK", 1) if one_pair_blocks else nullcontext():
+            sups, seminorms = embedding.apply_batch(coeffs)
         ref_sups, ref_seminorms = reference_sandwich_norms(vectors, space, family, alpha)
         assert sups.tobytes() == ref_sups.tobytes()
         assert seminorms.tobytes() == ref_seminorms.tobytes()
+
+    def test_pair_scan_temporaries_are_bounded(self):
+        # every point of a 300-point cloud centers a ball, so S is the
+        # whole space with 44,850 pairs; gathering all of them at once
+        # would take 23 MB for 64 vectors
+        n, V = 300, 64
+        space = _space("cloud", n, 300)
+        nearest = np.where(np.eye(n, dtype=bool), np.inf, space.dist).argmin(axis=1)
+        family = SeparatedPairFamily(tuple((space.labels[q], label) for label, q in zip(space.labels, nearest)), 0.25)
+        with patch.object(wbslab.embed, "verify_pair_family", lambda *_: PairFamilyReport([])):
+            embedding = build_support_map(space, family, 0.5)
+        coeffs = np.random.default_rng(300).uniform(-2.0, 2.0, size=(V, n))
+        tracemalloc.start()
+        try:
+            embedding.apply_batch(coeffs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        values, block = 8 * V * n, 8 * wbslab.embed._BLOCK
+        tables = sum(t.nbytes for t in (embedding.pair_i, embedding.pair_j, embedding.den))
+        # the values, then their magnitudes or one block of pair ends;
+        # numpy's buffer for a broadcast divisor, and 16 KiB for the
+        # V-long maxima and the slices' headers
+        slack = 8 * np.getbufsize() + 16384
+        assert peak <= values + max(values, block) + slack <= values + block + tables
+        assert peak < len(embedding.den) * V * 8 / 10
+        # the pair tables take no more than the square table of powered distances they replace
+        assert tables <= 8 * n * n
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -602,7 +636,7 @@ class TestOperatorMemo:
         again = build_support_map(self.space, self.family, 0.5)
         fresh = build_support_map(_copy(self.space), self.family, 0.5)
         assert _memo_keys(self.space) == keys and len(keys) == 1
-        for name in ("support", "owner", "weight", "den", "off_min"):
+        for name in ("support", "owner", "weight", "pair_i", "pair_j", "den", "off_min"):
             assert getattr(again, name) is getattr(first, name)
             assert getattr(again, name).tobytes() == getattr(fresh, name).tobytes()
             assert not getattr(again, name).flags.writeable
@@ -756,6 +790,33 @@ class TestFiniteSequence:
         assert len(vecs) == 4
         assert vecs[0].entries == (1.0, 0.0, 0.0)
         assert vecs[-1].entries == (1.0, -1.0, 1.0)
+
+    def test_battery_is_a_new_list_each_call(self):
+        for length in (0, 1, 2, 7, 40):
+            explicit = [FiniteSequence(tuple(1.0 if i == k else 0.0 for i in range(length))) for k in range(length)]
+            explicit.append(FiniteSequence(tuple(1.0 if i % 2 == 0 else -1.0 for i in range(length))))
+            first = structured_vectors(length)
+            assert repr(first) == repr(explicit)
+            first.append(first[0])  # the sandwich suite extends its battery in place
+            again = structured_vectors(length)
+            assert again is not first and repr(again) == repr(explicit)
+
+    def test_battery_memo_stays_under_its_budget(self, monkeypatch):
+        kept = ByteLRU(20_000)
+        monkeypatch.setattr(wbslab.embed, "_batteries", kept)
+        for length in range(0, 90, 3):
+            assert len(structured_vectors(length)) == length + 1
+            assert kept.nbytes <= kept.maxbytes
+        # a battery past the whole budget is built on every call and kept never
+        assert not kept._entries and kept.misses == 30
+        for _ in range(2):
+            structured_vectors(20)
+        assert list(kept._entries) == [20] and kept.hits == 1
+
+    def test_negative_zero_vector_is_no_nonzero_vector(self, harmonic_setup):
+        space, family = harmonic_setup
+        with pytest.raises(InvalidInputError, match="no nonzero vectors supplied"):
+            distortion_report(space, family, 0.5, [FiniteSequence((-0.0,) * len(family))])
 
     def test_sup_value_matches_generator_definition(self):
         rng = random.Random(64)

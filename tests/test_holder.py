@@ -17,6 +17,7 @@ from wbslab.holder import (
     sup_norm,
     tent_bump,
     validate_alpha,
+    validate_radius,
 )
 from wbslab.metric import FiniteMetricSpace, find_pair_family
 from wbslab.samples import harmonic_with_zero, line_grid
@@ -80,6 +81,11 @@ class TestNorms:
             validate_alpha(0.0)
         with pytest.raises(InvalidInputError):
             validate_alpha(1.5)
+
+    def test_boolean_alpha_rejected(self):
+        # float(True) would read as the exponent 1.0
+        with pytest.raises(InvalidInputError, match="got JSON boolean"):
+            validate_alpha(True)
 
     def test_field_validation(self):
         space = line_grid(3)
@@ -184,6 +190,11 @@ class TestTentBump:
         for epsilon in (0.0, -1.0, float("nan")):
             with pytest.raises(InvalidInputError, match="radius must be positive"):
                 tent_bump(space, space.labels[0], epsilon)
+
+    def test_boolean_radius_rejected(self):
+        # float(True) would read as the radius 1.0
+        with pytest.raises(InvalidInputError, match="got JSON boolean"):
+            validate_radius(True)
 
 
 class TestClampsAreOneLipschitz:

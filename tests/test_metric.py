@@ -35,8 +35,8 @@ from oracles import (
 
 
 def unvalidated_space(dist) -> FiniteMetricSpace:
-    """A space on a matrix that need not be a metric, with validate_metric patched to pass it."""
-    with mock.patch.object(metric, "validate_metric", lambda *_: ValidationReport()):
+    """A space on a matrix that need not be a metric, with its metric check patched to pass it."""
+    with mock.patch.object(metric, "_check_metric", lambda *_: ValidationReport()):
         return FiniteMetricSpace(dist)
 
 
@@ -97,6 +97,13 @@ class TestValidation:
         with pytest.raises(InvalidInputError):
             FiniteMetricSpace([[0, 1, 3], [1, 0, 1], [3, 1, 0]])
 
+    def test_a_space_prepares_its_input_once(self):
+        prepare = mock.Mock(wraps=metric._metric_input)
+        with mock.patch.object(metric, "_metric_input", prepare):
+            space = FiniteMetricSpace.from_points([[0.0, 0.0], [3.0, 4.0], [6.0, 0.0]])
+            assert prepare.call_count == 1
+            assert validate_metric(space.dist).ok and prepare.call_count == 2
+
 
 class TestSpaceBasics:
     def test_restrict_full_is_identity(self):
@@ -151,6 +158,11 @@ class TestVerifyPairFamily:
             SeparatedPairFamily((("a", "b"),), 1.5)
         with pytest.raises(InvalidInputError):
             SeparatedPairFamily((("a", "b"),), 0.0)
+
+    def test_boolean_K_rejected(self):
+        # True would compare as 1 and print as "K": true
+        with pytest.raises(InvalidInputError, match="got JSON boolean"):
+            SeparatedPairFamily((("a", "b"),), True)
 
     def test_violations_are_listed(self):
         space = line_grid(4)
@@ -655,6 +667,11 @@ class TestFromGraph:
             FiniteMetricSpace.from_graph(6, edges)
         with pytest.raises(InvalidInputError, match="not connected"):
             FiniteMetricSpace.from_graph(3, [])
+
+    def test_boolean_weight_rejected(self):
+        # float(True) would build distance 1.0
+        with pytest.raises(InvalidInputError, match=r"edge \(0, 1, True\) needs .* a finite weight"):
+            FiniteMetricSpace.from_graph(2, [(0, 1, True)])
 
     def test_integer_endpoints_of_any_kind(self):
         edges = [(0, 1, 1.0), (1, 2, 2)]
