@@ -391,7 +391,7 @@ class TestBatchKernel:
         slack = 8 * np.getbufsize() + 16384
         assert peak <= values + max(values, block) + slack <= values + block + tables
         assert peak < len(embedding.den) * V * 8 / 10
-        # the pair tables take no more than the square table of powered distances they replace
+        # the pair tables take no more than a square table of powered distances
         assert tables <= 8 * n * n
 
     @settings(max_examples=80, deadline=None)
@@ -807,7 +807,8 @@ class TestFiniteSequence:
         for length in range(0, 90, 3):
             assert len(structured_vectors(length)) == length + 1
             assert kept.nbytes <= kept.maxbytes
-        # a battery past the whole budget is built on every call and kept never
+        # the last batteries each exceed the budget: storing one evicts it
+        # with every older one, so each is built on every call
         assert not kept._entries and kept.misses == 30
         for _ in range(2):
             structured_vectors(20)
