@@ -21,7 +21,7 @@ import sys
 from bisect import bisect_left
 from collections import namedtuple
 from dataclasses import dataclass
-from itertools import islice, takewhile
+from itertools import islice
 from math import comb
 from operator import lt
 from typing import Iterable, Iterator
@@ -213,40 +213,49 @@ def count_with_max(n: int) -> int:
 
 
 # Binomials are carried from one value to the next by ratio updates,
-# each a multiply and an exact divide by word-sized factors.  A gap
-# longer than this is crossed with one math.comb instead: a comb of a
-# multi-kilobit binomial costs about as much as 50-500 ratio steps.
+# each a multiply and an exact divide by products of word-sized factors.
+# A gap longer than this is crossed with one math.comb instead: a comb
+# of a multi-kilobit binomial costs about as much as 50-500 ratio steps.
 _RATIO_STEPS = 64
 
 
-def _comb_lex_rank(lo: int, hi: int, chosen: tuple[int, ...]) -> int:
+def _comb_lex_rank(lo: int, hi: int, chosen: tuple[int, ...], count: int | None = None) -> int:
     """0-based lex rank of a sorted subset of the interval [lo, hi].
 
-    Uses the hockey-stick identity to charge each gap between chosen
-    elements with two binomials instead of one per skipped value:
-    choosing c after the values below v are settled skips
-    C(hi - v + 1, r) - C(hi - c + 1, r) subsets, r counting c itself.
-    An element right after the previous one skips nothing, so the walk
-    stops at the first element of the final run of consecutive values,
-    found by bisection: chosen[i] - i never decreases and is constant
-    along that run.
+    count is C(hi - lo + 1, len(chosen)) when the caller has it.  The
+    rank sums, over each skipped value u, the C(hi - u, r - 1) subsets
+    that take u, r counting the elements still to choose.  That term is
+    carried as term * num // den, num and den products of small factors:
+    a skip multiplies it by (a - b) / a and a choice by b / a, where
+    a = hi - u and b = r - 1, so only a skip touches the big integer, with
+    one multiply and one exact divide.  A gap longer than _RATIO_STEPS is
+    charged at once by the hockey-stick identity: skipping v .. c - 1
+    skips C(hi - v + 1, r) - C(hi - c + 1, r) subsets.  An element right
+    after the previous one skips nothing, so the walk stops at the first
+    element of the final run of consecutive values, found by bisection:
+    chosen[i] - i never decreases and is constant along that run.
     """
     k = len(chosen)
     if not k:
         return 0
     run = bisect_left(range(k), chosen[-1] - k + 1, key=lambda i: chosen[i] - i)
+    if count is None:
+        count = comb(hi - lo + 1, k)
     rank = 0
+    term, num, den = count, k, hi - lo + 1  # C(hi - v, r - 1) = term * num // den
     v = lo
-    top = comb(hi - lo + 1, k)  # C(hi - v + 1, r)
     for r, c in zip(range(k, 0, -1), islice(chosen, run + 1)):
         if c - v > _RATIO_STEPS:
             cur = comb(hi - c + 1, r)
+            rank += term * (num * (hi - v + 1)) // (den * r) - cur  # C(hi - v + 1, r) - cur
+            term, num, den = cur, r, hi - c + 1
         else:
-            cur = top
-            for t in range(hi - v + 1, hi - c + 1, -1):
-                cur = cur * (t - r) // t  # C(t - 1, r) from C(t, r)
-        rank += top - cur
-        top = cur * r // (hi - c + 1)  # C(hi - c, r - 1)
+            for a in range(hi - v, hi - c, -1):  # a = hi - u for the skipped u
+                term = term * num // den
+                rank += term
+                num, den = a - r + 1, a
+        num *= r - 1
+        den *= hi - c
         v = c + 1
     return rank
 
@@ -271,14 +280,19 @@ def _first_below(v: int, hi: int, r: int, target: int) -> int:
     return bad
 
 
-def _comb_lex_unrank(lo: int, hi: int, k: int, index: int) -> tuple[int, ...]:
-    """Inverse of _comb_lex_rank.
+def _comb_lex_unrank(lo: int, hi: int, k: int, index: int, count: int | None = None) -> tuple[int, ...]:
+    """Inverse of _comb_lex_rank; count is C(hi - lo + 1, k) when the caller has it.
 
-    The next element is the smallest c with C(hi - c, r) < top - index,
-    where top = C(hi - v + 1, r) counts the subsets still in play.  Once
-    index is 0 the rest is the first subset in play, the run v .. v + r - 1.
+    top = C(hi - v + 1, r) counts the subsets still in play, and
+    first = top * r // (hi - v + 1) = C(hi - v, r - 1) of them take v:
+    v is chosen when index < first, leaving top = first, and skipped
+    otherwise, leaving index - first and top - first.  Each value costs
+    one binomial step.  After _RATIO_STEPS skips in a row the chosen
+    value is found by galloping instead: the smallest c with
+    C(hi - c, r) < top - index.  Once index is 0 the rest is the first
+    subset in play, the run v .. v + r - 1.
     """
-    top = comb(hi - lo + 1, k)
+    top = comb(hi - lo + 1, k) if count is None else count
     if not 0 <= index < top:
         raise InvalidInputError("combination index out of range")
     out = []
@@ -287,20 +301,20 @@ def _comb_lex_unrank(lo: int, hi: int, k: int, index: int) -> tuple[int, ...]:
         if not index:
             out.extend(range(v, v + r))
             break
-        target = top - index
-        cur = top  # C(hi - v + 1, r) >= target
         for _ in range(_RATIO_STEPS):
-            t = hi - v + 1
-            after = cur * (t - r) // t  # C(hi - v, r)
-            if after < target:
+            first = top * r // (hi - v + 1)
+            if index < first:
                 break
-            cur, v = after, v + 1
+            index -= first
+            top -= first
+            v += 1
         else:
-            v = _first_below(v, hi, r, target)
+            v = _first_below(v, hi, r, top - index)
             cur = comb(hi - v + 1, r)
+            index -= top - cur
+            first = cur * r // (hi - v + 1)
         out.append(v)
-        index -= top - cur
-        top = cur * r // (hi - v + 1)  # C(hi - v, r - 1)
+        top = first
         v += 1
     return tuple(out)
 
@@ -334,39 +348,41 @@ def _max_min_in_grade(n: int) -> int:
     return (n + 1) // 2
 
 
-def _blocks_up(n: int) -> Iterator[tuple[int, int]]:
-    """(m, C(n - 1 - m, m - 2)) for each minimum m of grade n, ascending.
+def _blocks_up(n: int) -> Iterator[int]:
+    """C(n - 1 - m, m - 2), the number of sets of grade n with minimum m, for m = 2, 3, ...
 
-    C(n - 1 - m, m - 2) sets of grade n have minimum m.  Each block size
-    follows from the last by C(a - 1, b + 1) =
-    C(a, b) * (a - b) * (a - b - 1) / (a * (b + 1)).
+    Each block size follows from the last by C(a - 1, b + 1) =
+    C(a, b) * ((a - b) * (a - b - 1)) // (a * (b + 1)), the small factors
+    grouped so that each step is one big multiply and one divide.
     """
     block = 1  # C(n - 3, 0)
-    for m in range(2, _max_min_in_grade(n) + 1):
-        if m > 2:
-            a, b = n - m, m - 3  # the block of m - 1 is C(a, b)
-            block = block * (a - b) * (a - b - 1) // (a * (b + 1))
-        yield m, block
+    yield block
+    for m in range(3, _max_min_in_grade(n) + 1):
+        a, b = n - m, m - 3  # the block of m - 1 is C(a, b)
+        block = block * ((a - b) * (a - b - 1)) // (a * (b + 1))
+        yield block
 
 
-def _blocks_down(n: int) -> Iterator[tuple[int, int]]:
-    """The pairs of _blocks_up from the largest minimum down.
+def _blocks_down(n: int) -> Iterator[int]:
+    """The blocks of _blocks_up from the largest minimum down.
 
     Each block size follows from the last by C(a + 1, b - 1) =
-    C(a, b) * (a + 1) * b / ((a - b + 1) * (a - b + 2)).
+    C(a, b) * ((a + 1) * b) // ((a - b + 1) * (a - b + 2)).
     """
     top = _max_min_in_grade(n)
     block = comb(n - 1 - top, top - 2)  # 1 or (n - 2) / 2
-    for m in range(top, 1, -1):
-        if m < top:
-            a, b = n - 2 - m, m - 1  # the block of m + 1 is C(a, b)
-            block = block * (a + 1) * b // ((a - b + 1) * (a - b + 2))
-        yield m, block
+    yield block
+    for m in range(top - 1, 1, -1):
+        a, b = n - 2 - m, m - 1  # the block of m + 1 is C(a, b)
+        block = block * ((a + 1) * b) // ((a - b + 1) * (a - b + 2))
+        yield block
 
 
 # The blocks before a minimum are summed from whichever end of the grade
 # is nearer, so a set whose minimum is close to the largest one (every
-# identity-rule witness) costs a few blocks, not n / 2 of them.
+# identity-rule witness) costs a few blocks, not n / 2 of them.  Either
+# walk ends on the set's own block, C(n - 1 - m, m - 2): the number of
+# subsets its middle is ranked or unranked among.
 
 
 def _rank_in_grade(s: SchreierSet) -> int:
@@ -375,13 +391,17 @@ def _rank_in_grade(s: SchreierSet) -> int:
     if n == 1:
         return 0
     m = s.minimum
-    if m - 2 <= _max_min_in_grade(n) - m:
-        prior = sum(block for _, block in takewhile(lambda p: p[0] < m, _blocks_up(n)))
+    top = _max_min_in_grade(n)
+    if m - 2 <= top - m:
+        blocks = _blocks_up(n)
+        prior = sum(islice(blocks, m - 2))
+        block = next(blocks)
     else:
-        from_m = sum(block for _, block in takewhile(lambda p: p[0] >= m, _blocks_down(n)))
+        from_m = 0
+        for block in islice(_blocks_down(n), top - m + 1):
+            from_m += block
         prior = count_with_max(n) - from_m
-    middle = s.elements[1:-1]
-    return prior + _comb_lex_rank(m + 1, n - 1, middle)
+    return prior + _comb_lex_rank(m + 1, n - 1, s.elements[1:-1], block)
 
 
 def _unrank_in_grade(n: int, index: int) -> SchreierSet:
@@ -390,18 +410,18 @@ def _unrank_in_grade(n: int, index: int) -> SchreierSet:
         return SchreierSet((1,))
     size = count_with_max(n)
     if 2 * index < size:
-        for m, block in _blocks_up(n):
+        for m, block in enumerate(_blocks_up(n), 2):
             if index < block:
                 break
             index -= block
     else:
         from_end = size - 1 - index
-        for m, block in _blocks_down(n):
+        for m, block in zip(range(_max_min_in_grade(n), 1, -1), _blocks_down(n)):
             if from_end < block:
                 index = block - 1 - from_end
                 break
             from_end -= block
-    middle = _comb_lex_unrank(m + 1, n - 1, m - 2, index)
+    middle = _comb_lex_unrank(m + 1, n - 1, m - 2, index, block)
     return SchreierSet((m,) + middle + (n,))
 
 

@@ -144,8 +144,7 @@ class Subsequence:
         j = parse_count(j, "term index")
         if j > DEFAULT_MAX_TERMS:
             raise InvalidInputError(
-                f"term index {to_decimal(j)} exceeds the materialization cap {DEFAULT_MAX_TERMS}; "
-                "the rule grows too fast for this request"
+                f"term index {to_decimal(j)} exceeds the materialization cap {DEFAULT_MAX_TERMS}"
             )
         if j > len(self._terms):
             if self._rule is None:
@@ -194,14 +193,19 @@ class Subsequence:
     def seeded_increments(cls, seed: int, max_step: int = 3) -> "Subsequence":
         """Random strictly increasing sequence with steps in 1..max_step.
 
-        The terms are the running sums of rng.randint(1, max_step), drawn
-        one per term as the terms are requested.
+        The terms are the running sums of the steps, drawn one per term
+        as the terms are requested.  A step is 1 + r for the first draw
+        r = rng.getrandbits(max_step.bit_length()) with r < max_step: the
+        rejection sampling of CPython's rng.randint(1, max_step), so the
+        terms and the generator's state after them are those of a
+        randint loop, but drawn without a Python frame per step.
         """
         import random
 
         seed, max_step = parse_int(seed), parse_count(max_step, "max_step")
         rng = random.Random(seed)
-        steps = map(rng.randint, repeat(1), repeat(max_step))
+        draws = map(rng.getrandbits, repeat(max_step.bit_length()))
+        steps = map((1).__add__, filter(max_step.__gt__, draws))
         return cls(rule=accumulate(steps), description=f"random:{to_decimal(seed)},{to_decimal(max_step)}")
 
     @classmethod
@@ -279,7 +283,9 @@ def certify_not_cesaro_null(
     be the witness set itself; the hits are counted from that set.
 
     Raises NeedsMoreDataError when the prefix cannot cover index
-    N + k_{N+1}, and CertificateViolationError carrying the witness if
+    N + k_{N+1}, InvalidInputError when the witness passes the largest
+    grade or needs more terms than the materialization cap (the error
+    names how many), and CertificateViolationError carrying the witness if
     the round trip returns another set or the mean ever fell below 1/2
     (which no valid input can trigger).
     """
@@ -287,11 +293,18 @@ def certify_not_cesaro_null(
     if oracle is None:
         oracle = SequenceOracle()
     k_next = sub.term(N + 1)
+    if k_next > _MAX_GRADE:  # the witness's maximum is at least k_{N+1}
+        raise InvalidInputError(f"n exceeds the largest supported grade, {_MAX_GRADE}")
     need = N + k_next
+    if need > DEFAULT_MAX_TERMS:
+        raise InvalidInputError(
+            f"the certificate at N = {to_decimal(N)} needs N + k_(N+1) = {to_decimal(need)} terms, "
+            f"past the materialization cap {DEFAULT_MAX_TERMS}"
+        )
     # terms only grow, so the first one past the largest grade dooms the
     # witness: a rule's tail is drawn in doubling chunks that stop there
     j = N + 1
-    while sub._rule is not None and j < need <= DEFAULT_MAX_TERMS:
+    while sub._rule is not None and j < need:
         if sub.term(j) > _MAX_GRADE:
             raise InvalidInputError(f"n exceeds the largest supported grade, {_MAX_GRADE}")
         j = min(2 * j, need)

@@ -134,6 +134,17 @@ class TestCesaroCommand:
         assert payload["A_N"] == list(range(20001, 40002))
         assert len(payload["i0"]) > 4300 and payload["mean"] == "1/2"
 
+    def test_past_the_term_cap_names_the_terms_needed(self, capsys):
+        # random:5 grows slowly; the witness at N = 700,000 needs 2,099,936 terms
+        code = main(["cesaro", "certify", "--subsequence", "random:5", "--N", "700000"])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err == {
+            "error": "InvalidInputError",
+            "message": "the certificate at N = 700000 needs N + k_(N+1) = 2099936 terms, "
+            "past the materialization cap 1000000",
+        }
+
     def test_short_prefix_fails_cleanly(self, capsys):
         code = main(["cesaro", "certify", "--subsequence", "1,2,3", "--N", "4"])
         assert code == 2

@@ -19,6 +19,7 @@ from wbslab.schreier import (
     count_max_at_most,
     get_enumeration,
 )
+from wbslab.weaknull import Subsequence
 
 from oracles import (
     ReferenceCountCache,
@@ -331,6 +332,55 @@ class TestLexRankOfSubsets:
         assert schreier._comb_lex_rank(N + 2, 2 * N, s.elements[1:-1]) == 0
         for enum in (CANONICAL, ALT):
             assert enum.unrank(enum.rank_of(s)) == s
+
+
+def _assert_both_walks_match_reference(s: SchreierSet) -> None:
+    """_assert_matches_reference, and the oracle's own unrank back to s."""
+    _assert_matches_reference(s)
+    for enum in (CANONICAL, ALT):
+        assert reference_unrank(enum.rank_of(s), enum.name) == s.elements
+
+
+def _dense_witness(rule: str, N: int) -> SchreierSet:
+    """A_N of the rule: its terms at positions N + 1 .. N + k_{N+1}."""
+    sub = Subsequence.parse(rule)
+    return SchreierSet(sub.terms(N + sub.term(N + 1))[N:])
+
+
+class TestSkipRuns:
+    """Runs of 0-70 skipped values, either side of the ratio-step crossover."""
+
+    @pytest.mark.parametrize("skip", range(71))
+    def test_every_skip_length(self, skip):
+        # the run of skip values comes after a choice, after a run of
+        # choices, before the final run and at the start of the middle
+        _assert_both_walks_match_reference(_set_from_gaps(8, [skip, 0, 0, skip, 1, skip, 0]))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_mixed_skip_runs(self, data):
+        m = data.draw(st.integers(min_value=2, max_value=30))
+        skips = st.one_of(st.integers(0, 3), st.integers(0, 70))
+        gaps = data.draw(st.lists(skips, min_size=m - 1, max_size=m - 1))
+        _assert_both_walks_match_reference(_set_from_gaps(m, gaps))
+
+    @pytest.mark.parametrize("rule", ["random:12345,3", "random:-8,3", "affine:2,5", "affine:3", "affine:6,1"])
+    def test_dense_witnesses_match_the_oracles(self, rule):
+        _assert_both_walks_match_reference(_dense_witness(rule, 60))
+
+    @pytest.mark.parametrize("rule, N", [
+        ("random:7,3", 5000), ("random:2024,3", 2000), ("affine:2", 5000), ("affine:2,9", 1000),
+        ("affine:3,1", 1000), ("affine:4", 600), ("affine:5,2", 400), ("affine:6", 300),
+    ])
+    def test_dense_witness_round_trips(self, rule, N):
+        s = _dense_witness(rule, N)
+        n = s.maximum
+        ranks = [enum.rank_of(s) for enum in (CANONICAL, ALT)]
+        for enum, rank in zip((CANONICAL, ALT), ranks):
+            assert enum.unrank(rank) == s
+        # the grade's two orders are mirror images: the positions add up to its size - 1
+        below = count_max_at_most(n - 1)
+        assert sum(ranks) - 2 * (below + 1) == count_max_at_most(n) - below - 1
 
 
 class TestCountCache:

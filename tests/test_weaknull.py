@@ -99,6 +99,27 @@ class TestSubsequence:
         assert sub.term(1000) == expected[999] and len(sub) == 1000
         assert sub.terms(3000) == expected
 
+    @pytest.mark.parametrize("max_step", [1, 2, 3, 4, 9, 2**70])
+    @pytest.mark.parametrize("seed", [0, 7, -12345, 2**40 + 3])
+    def test_random_rule_draws_as_randint_does(self, monkeypatch, seed, max_step):
+        # the terms and the generator's state after them are those of a
+        # rng.randint(1, max_step) loop, so no later draw can drift
+        rule, n = f"random:{seed},{max_step}", 500
+        expected = reference_rule_terms(rule, n)
+        reference = random.Random(seed)
+        for _ in range(n):
+            reference.randint(1, max_step)
+        generators = []
+
+        class Recorded(random.Random):
+            def __init__(self, *args):
+                super().__init__(*args)
+                generators.append(self)
+
+        monkeypatch.setattr(random, "Random", Recorded)
+        assert Subsequence.parse(rule).terms(n) == expected
+        assert [g.getstate() for g in generators] == [reference.getstate()]
+
     @pytest.mark.parametrize("values, message", [
         ([0, 1], "terms must be positive, got 0"),
         ([1, 2, -4], "terms must be positive, got -4"),
@@ -232,8 +253,14 @@ class TestCertificates:
 
     def test_term_cap(self):
         # N + k_{N+1} = 1_000_001 terms would be needed, one past the cap
-        with pytest.raises(InvalidInputError, match=f"cap {weaknull.DEFAULT_MAX_TERMS}"):
+        with pytest.raises(InvalidInputError, match=f"cap {weaknull.DEFAULT_MAX_TERMS}") as info:
             certify_not_cesaro_null(Subsequence.identity(), 500_000)
+        assert "needs N + k_(N+1) = 1000001 terms" in str(info.value)
+
+    def test_witness_past_the_grade_cap_is_refused_before_the_term_cap(self, oracle):
+        # N + k_{N+1} has 2386 digits here; the grade, not that count, is named
+        with pytest.raises(InvalidInputError, match="^n exceeds the largest supported grade, 10000000$"):
+            certify_not_cesaro_null(Subsequence.geometric(2, 3), 5000, oracle=oracle)
 
     def test_lower_bound_reports_the_mean(self, oracle):
         sub = Subsequence.identity()
