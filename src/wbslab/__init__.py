@@ -52,7 +52,6 @@ _EXPORTS = {
         "InconsistentFamilyError",
         "InvalidInputError",
         "NeedsMoreDataError",
-        "PairSearchFailure",
         "WbsLabError",
     ),
     "experiments": ("EXPERIMENT_NAMES", "ExperimentConfig", "ExperimentResult", "run_experiment"),

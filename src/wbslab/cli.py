@@ -25,7 +25,7 @@ import sys
 from collections.abc import Iterator
 from pathlib import Path
 
-from .errors import InvalidInputError, PairSearchFailure, WbsLabError
+from .errors import InvalidInputError, WbsLabError
 from .inputs import (
     EXPERIMENT_NAMES, existing_file, json_type, load_json, parse_floats, parse_int, parse_json, to_decimal,
 )
@@ -146,13 +146,10 @@ def _cmd_validate(args) -> int:
 def _cmd_pairs_find(args) -> int:
     from .metric import find_pair_family, load_space
 
-    space = load_space(args.space)
-    try:
-        family, ok, target = find_pair_family(space, args.K, args.count), True, args.count
-    except PairSearchFailure as exc:
-        family, ok, target = exc.best, False, exc.target
+    family = find_pair_family(load_space(args.space), args.K, args.count)
+    ok = len(family) == args.count
     payload = family.to_json()
-    payload.update({"ok": ok, "found": len(family), "target": target})
+    payload.update({"ok": ok, "found": len(family), "target": args.count})
     return _emit(args, payload, ok)
 
 
@@ -166,7 +163,7 @@ def _cmd_pairs_verify(args) -> int:
 
 
 def _cmd_seminorm(args) -> int:
-    from .holder import ScalarField, holder_norm, holder_seminorm, sup_norm
+    from .holder import ScalarField, holder_seminorm, sup_norm
     from .metric import load_space
 
     space = load_space(args.space)
@@ -177,7 +174,7 @@ def _cmd_seminorm(args) -> int:
         values = values["values"]
     f = ScalarField(space, values)
     norms = {"sup_norm": sup_norm(f), "seminorm": holder_seminorm(f, args.alpha)}
-    norm = holder_norm(f, args.alpha)
+    norm = norms["sup_norm"] + norms["seminorm"]  # holder_norm's sum, without a second scan
     if not math.isfinite(norm):  # the seminorm or the sum overflowed
         raise InvalidInputError(f"the Holder norm overflows the float range: {norm}")
     return _emit(args, {"alpha": args.alpha, "holder_norm": norm, **norms})
@@ -407,6 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    args = None
     try:
         args = build_parser().parse_args(argv)
         status = args.handler(args)
@@ -417,6 +415,12 @@ def main(argv: list[str] | None = None) -> int:
         # docs advise, so the interpreter prints nothing more at exit
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         payload = {"error": type(exc).__name__, "message": "stdout closed before the output was written"}
+    except MemoryError as exc:
+        # numpy's _ArrayMemoryError included: its text names the array
+        action = f"{args.command} {args.action}" if args else "wbslab"
+        payload = {"error": "MemoryError", "message": f"{action} ran out of memory"}
+        if str(exc):
+            payload["message"] += f": {exc}"
     except (WbsLabError, json.JSONDecodeError) as exc:
         witness = getattr(exc, "witness", None)
         payload = {"error": type(exc).__name__, "message": str(exc)}

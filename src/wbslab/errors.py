@@ -37,14 +37,3 @@ class CertificateViolationError(WbsLabError):
 class InconsistentFamilyError(WbsLabError):
     """A pair family claimed disjoint balls but two supports overlap."""
 
-
-class PairSearchFailure(WbsLabError):
-    """The greedy pair finder could not reach the requested count.
-
-    The best family found is attached so callers can inspect or keep it.
-    """
-
-    def __init__(self, message: str, best, target: int):
-        super().__init__(message)
-        self.best = best
-        self.target = target

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import tolerances
 from .embed import FiniteSequence, build_support_map, structured_vectors, verify_sandwich
-from .errors import PairSearchFailure, WbsLabError
+from .errors import WbsLabError
 # perfbench/tracing.py wraps holder_seminorm and pair_bump under this module's names
 from .holder import holder_seminorm, pair_bump  # noqa: F401
 from .inputs import EXPERIMENT_NAMES
@@ -112,12 +112,9 @@ def _instance_battery(config: ExperimentConfig):
     combos = []
     for name, space in spaces.items():
         for K in (0.25, 0.5, 0.9):
-            try:
-                family = find_pair_family(space, K, target_count=3)
-            except PairSearchFailure as exc:
-                family = exc.best
-                if len(family) < 1:
-                    continue
+            family = find_pair_family(space, K, target_count=3)
+            if not family.pairs:
+                continue
             for alpha in (0.3, 0.5, 0.8, 1.0):
                 combos.append((f"{name}/K={K}/a={alpha}", space, family, alpha))
     return combos

@@ -53,6 +53,9 @@ __all__ = [
 # (e.g. a geometric subsequence with a large N); fail loudly instead
 DEFAULT_MAX_TERMS = 1_000_000
 
+# the first chunk of a rule's terms (geometric:2,3 passes the largest grade at 16)
+_FIRST_CHUNK = 32
+
 # Bytes of unranked sets a SequenceOracle keeps: the cesaro-suite holds
 # 428, 424 and 448 sets (1.17, 1.18 and 1.29 MB) at seeds 0-2, evicting
 # none, and one affine:6 witness at N = 1000 takes 693 kB.
@@ -139,22 +142,33 @@ class Subsequence:
     def __len__(self) -> int:
         return len(self._terms)
 
-    def term(self, j: int) -> int:
-        """The j-th term, 1-based, extending via the rule if present."""
+    def term(self, j: int, bound: int | None = None) -> int:
+        """The j-th term, 1-based, extending via the rule if present.
+
+        A rule's terms are drawn in chunks that double the terms held.
+        Terms only grow, so the draw stops at the first chunk that ends
+        past ``bound`` and returns that chunk's last term instead.
+        """
         j = parse_count(j, "term index")
         if j > DEFAULT_MAX_TERMS:
             raise InvalidInputError(
                 f"term index {to_decimal(j)} exceeds the materialization cap {DEFAULT_MAX_TERMS}"
             )
-        if j > len(self._terms):
+        terms = self._terms
+        while len(terms) < j:
             if self._rule is None:
                 raise NeedsMoreDataError(
                     "subsequence prefix too short and no extension rule",
                     required=j,
-                    available=len(self._terms),
+                    available=len(terms),
                 )
-            self._extend(islice(self._rule, j - len(self._terms)))
-        return self._terms[j - 1]
+            if bound is not None and terms and terms[-1] > bound:
+                return terms[-1]
+            held = len(terms)
+            self._extend(islice(self._rule, min(j - held, held or _FIRST_CHUNK)))
+            if len(terms) == held:  # an exhausted rule adds nothing more
+                self._rule = None
+        return terms[j - 1]
 
     def terms(self, n: int) -> tuple[int, ...]:
         """The first n terms as a tuple."""
@@ -292,23 +306,19 @@ def certify_not_cesaro_null(
     N = parse_count(N, "N")
     if oracle is None:
         oracle = SequenceOracle()
-    k_next = sub.term(N + 1)
-    if k_next > _MAX_GRADE:  # the witness's maximum is at least k_{N+1}
-        raise InvalidInputError(f"n exceeds the largest supported grade, {_MAX_GRADE}")
+    k_next = sub.term(N + 1, bound=_MAX_GRADE)
     need = N + k_next
-    if need > DEFAULT_MAX_TERMS:
+    if k_next <= _MAX_GRADE and need > DEFAULT_MAX_TERMS:
         raise InvalidInputError(
             f"the certificate at N = {to_decimal(N)} needs N + k_(N+1) = {to_decimal(need)} terms, "
             f"past the materialization cap {DEFAULT_MAX_TERMS}"
         )
-    # terms only grow, so the first one past the largest grade dooms the
-    # witness: a rule's tail is drawn in doubling chunks that stop there
-    j = N + 1
-    while sub._rule is not None and j < need:
-        if sub.term(j) > _MAX_GRADE:
-            raise InvalidInputError(f"n exceeds the largest supported grade, {_MAX_GRADE}")
-        j = min(2 * j, need)
-    tail = sub.terms(need)[N:]
+    # terms only grow, so a term past the largest grade, drawn up to k_(N+1)
+    # or up to the witness's maximum k_(N + k_(N+1)), dooms the witness
+    if k_next > _MAX_GRADE or sub.term(need, bound=_MAX_GRADE) > _MAX_GRADE:
+        raise InvalidInputError(f"n exceeds the largest supported grade, {_MAX_GRADE}")
+    terms = sub.terms(need)
+    tail = terms[N:]
     witness = SchreierSet(tail)
     coord = oracle.enumeration.rank_of(witness)
     # the round trip is the certificate's only end-to-end check of the
@@ -320,7 +330,7 @@ def certify_not_cesaro_null(
             witness=witness,
         )
 
-    first = sub.terms(2 * N)
+    first = terms[: 2 * N]
     hits = sum(map(members.__contains__, first))
     mean = Fraction(hits, 2 * N)
     if mean < Fraction(1, 2):

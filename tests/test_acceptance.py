@@ -33,7 +33,6 @@ from wbslab.embed import (
     structured_vectors,
     verify_sandwich,
 )
-from wbslab.errors import PairSearchFailure
 from wbslab.holder import holder_seminorm, pair_bump, sup_norm
 from wbslab.metric import find_pair_family
 from wbslab.samples import cycle_graph, harmonic_with_zero, line_grid, random_cloud
@@ -75,12 +74,9 @@ def _instance_battery():
     instances = []
     for name, space in spaces:
         for K in (0.25, 0.5, 0.9):
-            try:
-                family = find_pair_family(space, K, target_count=3)
-            except PairSearchFailure as exc:
-                family = exc.best
-                if len(family) < 1:
-                    continue
+            family = find_pair_family(space, K, target_count=3)
+            if not family.pairs:
+                continue
             for alpha in (0.3, 0.5, 1.0):
                 instances.append((f"{name}/K={K}/a={alpha}", space, family, alpha))
     assert len(instances) >= 50

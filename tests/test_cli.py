@@ -494,6 +494,48 @@ def test_closed_stdout_is_a_json_error(tmp_path):
     assert json.loads(err)["error"] == "BrokenPipeError"
 
 
+# the child runs an action on a small input and reports its peak address space
+_PEAK_PROBE = "import sys, wbslab.cli; wbslab.cli.main(sys.argv[1:]); print(open('/proc/self/status').read())"
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmPeak from /proc")
+@pytest.mark.parametrize(
+    "argv, small, detail",
+    [
+        # the n x n table alone takes 122 MiB
+        (["metric", "validate", "{cloud}"], '{"points": [[0], [1], [3]]}', ": Unable to allocate"),
+        # 600,001 terms and a witness of 300,001 elements
+        (["cesaro", "certify", "--subsequence", "identity", "--N", "300000"], "8", ""),
+    ],
+    ids=["metric-validate", "cesaro-certify"],
+)
+def test_out_of_memory_is_a_json_error(tmp_path, argv, small, detail):
+    import random
+    import re
+    import resource
+
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    cloud = tmp_path / "cloud.json"
+    r = random.Random(4000)
+    cloud.write_text(json.dumps({"points": [[r.random(), r.random()] for _ in range(4000)]}))
+    # numpy's import alone reserves over 100 MiB of address space, so the
+    # limit is the same action's peak on a small input plus 32 MiB
+    probe = subprocess.run(
+        [sys.executable, "-c", _PEAK_PROBE, *argv[:-1], small], capture_output=True, text=True, env=env, timeout=60
+    )
+    limit = int(re.search(r"VmPeak:\s*(\d+) kB", probe.stdout).group(1)) * 1024 + (32 << 20)
+    argv = [arg.format(cloud=cloud) for arg in argv]
+    proc = subprocess.run(
+        [sys.executable, "-m", "wbslab.cli", *argv], capture_output=True, text=True, env=env, timeout=120,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    error = json.loads(proc.stderr)
+    assert error["error"] == "MemoryError"
+    assert error["message"].startswith(f"{argv[0]} {argv[1]} ran out of memory{detail}")
+
+
 def test_readme_tour_parses():
     calls = [shlex.split(line, comments=True)[1:] for line in tour_lines()]
     assert len(calls) >= 20
@@ -503,7 +545,13 @@ def test_readme_tour_parses():
 
 
 class TestHolderAndEmbed:
-    def test_seminorm(self, capsys, space_file, tmp_path):
+    def test_seminorm(self, capsys, space_file, tmp_path, monkeypatch):
+        from unittest.mock import Mock
+
+        import wbslab.holder
+
+        spy = Mock(wraps=wbslab.holder.holder_seminorm)
+        monkeypatch.setattr(wbslab.holder, "holder_seminorm", spy)
         field = tmp_path / "field.json"
         field.write_text(json.dumps([0.0, 1.0, 0.0, 2.0, 0.0, 1.0, 0.0, 0.0]))
         code, payload = run_cli(
@@ -513,6 +561,7 @@ class TestHolderAndEmbed:
         assert code == 0
         assert payload["seminorm"] == 2.0
         assert payload["holder_norm"] == payload["sup_norm"] + payload["seminorm"]
+        assert spy.call_count == 1
 
     def test_bump(self, capsys, space_file):
         code, payload = run_cli(

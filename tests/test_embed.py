@@ -32,7 +32,6 @@ from wbslab.errors import (
     CertificateViolationError,
     InconsistentFamilyError,
     InvalidInputError,
-    PairSearchFailure,
     WbsLabError,
 )
 from wbslab.holder import pair_bump, sup_norm, validate_radius
@@ -71,13 +70,6 @@ def _space(kind: str, n: int, seed: int) -> FiniteMetricSpace:
             return cloud
         return FiniteMetricSpace(cloud.dist * np.where(np.tri(n, k=-1, dtype=bool), 1.0 + 1e-12, 1.0))
     return line_grid(n) if kind == "grid" else harmonic_with_zero(n - 1)
-
-
-def _family(space: FiniteMetricSpace, K: float) -> SeparatedPairFamily:
-    try:
-        return find_pair_family(space, K, 5)
-    except PairSearchFailure as exc:
-        return exc.best
 
 
 def _vectors(data, m: int, max_size: int) -> list[FiniteSequence]:
@@ -278,10 +270,7 @@ class TestOperator:
             space = FiniteMetricSpace.from_points(rng.uniform(0.0, 10.0, size=(n, 2)))
         else:
             space = line_grid(n) if kind == "grid" else harmonic_with_zero(n)
-        try:
-            family = find_pair_family(space, K, 5)
-        except PairSearchFailure as exc:
-            family = exc.best
+        family = find_pair_family(space, K, 5)
         embedding = build_support_map(space, family, alpha)
         coeffs = st.one_of(st.sampled_from((0.0, -0.0, 1.0, -1.0)), st.floats(-5.0, 5.0))
         a = FiniteSequence(tuple(data.draw(st.lists(coeffs, min_size=len(family), max_size=len(family)))))
@@ -339,7 +328,7 @@ class TestBatchKernel:
         space = _space(kind, n, seed)
         accept = nullcontext()
         if shape == "found":
-            family = _family(space, K)
+            family = find_pair_family(space, K, 5)
         elif shape == "empty":
             family = SeparatedPairFamily((), K)
         else:
@@ -408,7 +397,7 @@ class TestBatchKernel:
         # a negative slack, patched into the pinned record, forces
         # violations part way through the batch
         space = _space(kind, n, seed)
-        family = _family(space, K)
+        family = find_pair_family(space, K, 5)
         vectors = _vectors(data, len(family), 8)
         # exact ties for the largest ratio: repeats and negations
         for a in data.draw(st.lists(st.sampled_from(vectors), max_size=3)):
@@ -436,7 +425,7 @@ class TestBatchKernel:
         # fails some vectors part way through the batch, which the checks
         # record and the report raises
         space = _space(kind, n, seed)
-        family = _family(space, K)
+        family = find_pair_family(space, K, 5)
         embedding = build_support_map(space, family, alpha)
         vectors = _vectors(data, len(family), 8)
         record = Tolerances(sandwich_rel=slack)

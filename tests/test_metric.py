@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wbslab.errors import InvalidInputError, PairSearchFailure
+from wbslab.errors import InvalidInputError
 from wbslab.metric import (
     _PREFIX,
     _best_detours,
@@ -275,21 +275,16 @@ class TestFindPairFamily:
 
     def test_pigeonhole_failure(self):
         space = line_grid(10)
-        with pytest.raises(PairSearchFailure) as exc:
-            find_pair_family(space, 0.25, 6)
-        assert exc.value.target == 6
-        assert len(exc.value.best) == 5
-        assert verify_pair_family(space, exc.value.best).ok
+        family = find_pair_family(space, 0.25, 6)
+        assert len(family) == 5
+        assert verify_pair_family(space, family).ok
 
     def test_finder_is_self_certifying(self):
         rng = np.random.default_rng(8)
         for _ in range(25):
             n = int(rng.integers(4, 30))
             space = FiniteMetricSpace.from_points(rng.uniform(0, 10, size=(n, 2)))
-            try:
-                family = find_pair_family(space, float(rng.uniform(0.2, 1.0)), 2)
-            except PairSearchFailure as exc:
-                family = exc.best
+            family = find_pair_family(space, float(rng.uniform(0.2, 1.0)), 2)
             report = verify_pair_family(space, family)
             assert report.ok, report.violations
 
@@ -327,13 +322,6 @@ def same_report(dist, max_reported, triangle_rel=DEFAULT_TOLERANCES.triangle_rel
         want = reference_validate_metric(dist, max_reported=max_reported)
     assert got.to_json() == want.to_json()
     return got
-
-
-def search_outcome(finder, space, K, count):
-    try:
-        return True, finder(space, K, count).to_json()
-    except PairSearchFailure as exc:
-        return False, exc.best.to_json(), exc.target
 
 
 class TestValidateMatchesReference:
@@ -508,9 +496,9 @@ class TestFindMatchesReference:
         for n in (3, 6, 11):
             space = TIE_HEAVY[kind](n)
             for count in range(1, len(space) // 2 + 2):
-                got = search_outcome(find_pair_family, space, K, count)
-                assert got == search_outcome(reference_find_pair_family, space, K, count)
-                outcomes.add(got[0])
+                got = find_pair_family(space, K, count).to_json()
+                assert got == reference_find_pair_family(space, K, count).to_json()
+                outcomes.add(len(got["pairs"]) == count)
         assert outcomes == {True, False}
 
     @settings(max_examples=120, deadline=None)
@@ -527,8 +515,8 @@ class TestFindMatchesReference:
         else:
             rng = np.random.default_rng(seed)
             space = FiniteMetricSpace.from_points(rng.uniform(0, 10, size=(n, 2)), metric=kind)
-        got = search_outcome(find_pair_family, space, K, count)
-        assert got == search_outcome(reference_find_pair_family, space, K, count)
+        got = find_pair_family(space, K, count).to_json()
+        assert got == reference_find_pair_family(space, K, count).to_json()
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -548,8 +536,8 @@ class TestFindMatchesReference:
             dist = np.triu(dist, 1) + np.triu(dist, 1).T
         np.fill_diagonal(dist, rng.choice((0.0, 9.0), size=n, p=(0.7, 0.3)))
         space = unvalidated_space(dist)
-        got = search_outcome(find_pair_family, space, K, count)
-        assert got == search_outcome(reference_find_pair_family, space, K, count)
+        got = find_pair_family(space, K, count).to_json()
+        assert got == reference_find_pair_family(space, K, count).to_json()
 
 
 class TestFindPastFirstPrefix:
@@ -558,7 +546,7 @@ class TestFindPastFirstPrefix:
     @staticmethod
     def largest(space, K):
         # a count no space can meet exhausts every prefix
-        return len(search_outcome(find_pair_family, space, K, len(space))[1]["pairs"])
+        return len(find_pair_family(space, K, len(space)))
 
     @pytest.mark.parametrize("kind", sorted(TIE_HEAVY))
     @pytest.mark.parametrize("n", (70, 101, 130))
@@ -568,18 +556,18 @@ class TestFindPastFirstPrefix:
         for K in (0.25, 1.0):
             top = self.largest(space, K)
             for count in (1, top // 2, top, top + 1, len(space)):
-                got = search_outcome(find_pair_family, space, K, count)
-                assert got == search_outcome(reference_find_pair_family, space, K, count)
-                assert got[0] == (count <= top)
+                got = find_pair_family(space, K, count).to_json()
+                assert got == reference_find_pair_family(space, K, count).to_json()
+                assert len(got["pairs"]) == min(count, top)
 
     def test_clouds_succeed_past_first_prefix(self):
         for seed, metric in enumerate(("euclidean", "linf", "l1")):
             space = random_cloud(100 + 10 * seed, 2, seed, metric)
             top = self.largest(space, 0.1)
             for count in (top, top + 1):
-                got = search_outcome(find_pair_family, space, 0.1, count)
-                assert got == search_outcome(reference_find_pair_family, space, 0.1, count)
-            x, y = got[1]["pairs"][-1]
+                got = find_pair_family(space, 0.1, count).to_json()
+                assert got == reference_find_pair_family(space, 0.1, count).to_json()
+            x, y = got["pairs"][-1]
             assert space.d(x, y) > np.partition(space.dist, _PREFIX - 1, axis=None)[_PREFIX - 1]
 
     @settings(max_examples=25, deadline=None)
@@ -592,8 +580,8 @@ class TestFindPastFirstPrefix:
     )
     def test_random_clouds(self, metric, n, K, count, seed):
         space = random_cloud(n, 2, seed, metric)
-        got = search_outcome(find_pair_family, space, K, count)
-        assert got == search_outcome(reference_find_pair_family, space, K, count)
+        got = find_pair_family(space, K, count).to_json()
+        assert got == reference_find_pair_family(space, K, count).to_json()
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -611,8 +599,8 @@ class TestFindPastFirstPrefix:
             dist = np.triu(dist, 1) + np.triu(dist, 1).T
         np.fill_diagonal(dist, rng.choice((0.0, 9.0), size=n, p=(0.7, 0.3)))
         space = unvalidated_space(dist)
-        got = search_outcome(find_pair_family, space, K, count)
-        assert got == search_outcome(reference_find_pair_family, space, K, count)
+        got = find_pair_family(space, K, count).to_json()
+        assert got == reference_find_pair_family(space, K, count).to_json()
 
 
 def fresh_floyd_warshall(n, edges):

@@ -140,6 +140,12 @@ class TestSubsequence:
             sub.term(6)
         assert sub.terms(4) == (1, 2, 3, 5)
 
+    def test_exhausted_rule_needs_more_data(self):
+        sub = Subsequence((1, 2), rule=iter([3, 4]))
+        with pytest.raises(NeedsMoreDataError) as exc:
+            sub.term(9)
+        assert (exc.value.required, exc.value.available) == (9, 4)
+
     def test_term_cap_materializes_nothing(self):
         sub = Subsequence.identity()
         with pytest.raises(InvalidInputError, match=f"cap {weaknull.DEFAULT_MAX_TERMS}"):
@@ -212,6 +218,14 @@ class TestCertificates:
             certify_not_cesaro_null(sub, 17, oracle=oracle)
         assert len(sub) <= 2 * 18
 
+    def test_first_terms_past_the_grade_cap_stop_drawing(self, oracle):
+        # geometric:2,3 passes the largest grade at term 16; drawing all
+        # N + 1 = 400,001 terms first would hold about 10^11 bits
+        sub = Subsequence.geometric(2, 3)
+        with pytest.raises(InvalidInputError, match="^n exceeds the largest supported grade, 10000000$"):
+            certify_not_cesaro_null(sub, 400_000, oracle=oracle)
+        assert len(sub) <= 32
+
     def test_witness_is_maximal_schreier(self, oracle):
         for seed in range(10):
             sub = Subsequence.seeded_increments(seed)
@@ -248,8 +262,11 @@ class TestCertificates:
         assert c_can.mean == c_alt.mean == HALF
 
     def test_prefix_too_short(self):
-        with pytest.raises(NeedsMoreDataError):
-            certify_not_cesaro_null(Subsequence.from_terms([1, 2, 3]), 2)
+        # short of N + k_(N+1) terms, then short of the first N + 1
+        for terms, N, required in (([1, 2, 3], 2, 5), (range(1, 41), 100, 101)):
+            with pytest.raises(NeedsMoreDataError) as exc:
+                certify_not_cesaro_null(Subsequence.from_terms(terms), N)
+            assert (exc.value.required, exc.value.available) == (required, len(terms))
 
     def test_term_cap(self):
         # N + k_{N+1} = 1_000_001 terms would be needed, one past the cap
