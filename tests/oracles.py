@@ -330,6 +330,21 @@ def reference_verify_pair_family(space, family):
 # conflict mask; they must reproduce these reports and families exactly.
 
 
+def reference_point_distances(points, metric="euclidean"):
+    """The n x n x d difference array, reduced over its last axis.
+
+    An empty max (d = 0) starts from 0, as the sums do.
+    """
+    pts = np.asarray(points, dtype=float)
+    pts = pts[:, None] if pts.ndim == 1 else pts
+    diff = pts[:, None, :] - pts[None, :, :]
+    if metric == "euclidean":
+        return np.sqrt((diff**2).sum(axis=2))
+    if metric == "l1":
+        return np.abs(diff).sum(axis=2)
+    return np.abs(diff).max(axis=2, initial=0.0)
+
+
 def reference_validate_metric(dist, labels=None, max_reported=50):
     """One n x n pass per intermediate point k, reported k-major."""
     from wbslab import tolerances

@@ -176,6 +176,13 @@ class TestMetricAndPairs:
         assert code == 1
         assert [v["kind"] for v in payload["violations"]] == ["positivity"]
 
+    @pytest.mark.parametrize("kind", ["euclidean", "l1", "linf"])
+    def test_validate_points_without_coordinates(self, capsys, kind):
+        # no coordinates put every point at distance 0, under every metric
+        code, payload = run_cli(capsys, "metric", "validate", json.dumps({"points": [[], []], "metric": kind}))
+        assert code == 1
+        assert [v["kind"] for v in payload["violations"]] == ["positivity"]
+
     def test_validate_checks_a_points_space_once(self, capsys, space_file, monkeypatch):
         from wbslab import metric
 
