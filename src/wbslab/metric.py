@@ -217,8 +217,9 @@ def _row_cuts(n: int, split_from: int) -> list[int]:
     it is the number of CPUs the process may run on, at most n - 1.
     """
     last = max(n - 1, 0)
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    parts = min(cpus, last) if n >= split_from else 1
+    if n < split_from or not hasattr(os, "sched_getaffinity"):
+        return [0, last]
+    parts = min(len(os.sched_getaffinity(0)), last)
     if parts <= 1:
         return [0, last]
     done = np.cumsum(np.arange(n - 1, 0, -1))  # done[r] = sums in rows 0..r
