@@ -13,8 +13,6 @@ balls exactly.
 from __future__ import annotations
 
 import math
-import os
-import threading
 from dataclasses import dataclass, field
 from numbers import Integral, Real
 from typing import Iterable, Mapping, Sequence
@@ -95,12 +93,9 @@ def validate_metric(
     pairs are then rescanned per k, to report k-major, then row-major
     with i < j, up to the cap.
 
-    Two choices leave every bit of best as it is.  A matrix of integers
-    below 2**13 in size with no -0.0 entry is summed in int16, where
-    every sum is exact and equals the float one.  From about 240 rows
-    (400 in int16) the rows are split into parts of equal work, one per
-    CPU the process may run on, each in its own thread writing its own
-    rows.
+    A matrix of integers below 2**13 in size with no -0.0 entry is
+    summed in int16, where every sum is exact and equals the float one,
+    so best keeps every bit.
     """
     return _check_metric(*_metric_input(dist, labels), max_reported)
 
@@ -154,18 +149,6 @@ def _check_metric(arr: np.ndarray, labels: tuple[str, ...], max_reported: int = 
 _NARROW_BOUND = 2**13
 _NARROW_FILL = 3 * _NARROW_BOUND
 
-# Row counts from which the pass splits its rows across the allowed CPUs.
-# On a 2-vCPU Xeon (numpy 2.4.6, median of 15 interleaved calls of one
-# part against two, on a 2-d euclidean cloud and a shuffled cycle), two
-# float64 parts lost at n = 220 (7.98 -> 8.19 ms), won from n = 240
-# (16.8 -> 11.7 ms) and ran 1.5x faster at n = 300-600.  int16 sums cost
-# about a quarter as much, so the row loop's own overhead weighs longer:
-# two int16 parts lost up to n = 340 (6.37 -> 9.76 ms at n = 260), broke
-# even at n = 380-420, and won from n = 450 (21.0 -> 15.8 ms).
-_SPLIT_FROM = 240
-_NARROW_SPLIT_FROM = 400
-
-
 def _best_detours(arr: np.ndarray) -> np.ndarray:
     """best[i, j] = min over k not in {i, j} of d_ik + d_kj for i < j; inf elsewhere.
 
@@ -176,11 +159,7 @@ def _best_detours(arr: np.ndarray) -> np.ndarray:
     A matrix of integers below 2**13 in size, none of them -0.0, runs in
     int16 (see _NARROW_BOUND) and returns the same bits as float64: each
     sum is exact in both, and a float sum of two such entries is -0.0
-    only if both are, so no minimum is -0.0.  From _SPLIT_FROM rows on
-    (_NARROW_SPLIT_FROM in int16) the rows are cut into parts of equal
-    work, row i costing n - 1 - i sums, one part per CPU the process may
-    run on; each part writes its own rows of best, so the bits do not
-    depend on the split.
+    only if both are, so no minimum is -0.0.
     """
     n = arr.shape[0]
     narrow = _as_int16(arr)
@@ -188,16 +167,12 @@ def _best_detours(arr: np.ndarray) -> np.ndarray:
     best = np.full((n, n), fill, dtype=work.dtype)
     cols = work.T.copy()
     np.fill_diagonal(cols, fill)
-
-    def rows(lo: int, hi: int, flat: np.ndarray) -> None:
-        for i in range(lo, hi):
-            via = flat[: (n - i - 1) * n].reshape(n - i - 1, n)  # via[j - i - 1, k] = d_ik + d_kj
-            np.add(work[i], cols[i + 1 :], out=via)
-            via[:, i] = fill
-            np.min(via, axis=1, out=best[i, i + 1 :])
-
-    cuts = _row_cuts(n, _SPLIT_FROM if narrow is None else _NARROW_SPLIT_FROM)
-    _run_parts(rows, [(lo, hi, np.empty((n - lo - 1) * n, work.dtype)) for lo, hi in zip(cuts, cuts[1:])])
+    flat = np.empty(n * n, work.dtype)
+    for i in range(n - 1):
+        via = flat[: (n - i - 1) * n].reshape(n - i - 1, n)  # via[j - i - 1, k] = d_ik + d_kj
+        np.add(work[i], cols[i + 1 :], out=via)
+        via[:, i] = fill
+        np.min(via, axis=1, out=best[i, i + 1 :])
     return best if narrow is None else np.where(best < 2 * _NARROW_BOUND, best, np.inf)
 
 
@@ -208,58 +183,6 @@ def _as_int16(arr: np.ndarray) -> np.ndarray | None:
     narrow = arr.astype(np.int16)
     exact = (narrow == arr).all() and not np.signbit(arr[narrow == 0]).any()
     return narrow if exact else None
-
-
-def _row_cuts(n: int, split_from: int) -> list[int]:
-    """Bounds 0 = c_0 <= ... <= c_p = n - 1 of p row parts of about equal work.
-
-    Row i costs n - 1 - i sums.  p is 1 below split_from rows; from there
-    it is the number of CPUs the process may run on, at most n - 1.
-    """
-    last = max(n - 1, 0)
-    if n < split_from or not hasattr(os, "sched_getaffinity"):
-        return [0, last]
-    parts = min(len(os.sched_getaffinity(0)), last)
-    if parts <= 1:
-        return [0, last]
-    done = np.cumsum(np.arange(n - 1, 0, -1))  # done[r] = sums in rows 0..r
-    inner = np.searchsorted(done, done[-1] * np.arange(1, parts) // parts) + 1
-    return [0, *inner.tolist(), last]
-
-
-def _run_parts(rows, parts) -> None:
-    """rows(*part) for every part: the first here, each other in a helper thread.
-
-    A helper that cannot start (no thread or memory to be had) leaves its
-    part to this thread.  An exception raised in a helper is re-raised
-    here once every helper has ended, so no row is written after return
-    and nothing reaches threading.excepthook.
-    """
-    errors: list[BaseException] = []
-
-    def helper(*part) -> None:
-        try:
-            rows(*part)
-        except BaseException as exc:  # re-raised by the caller below
-            errors.append(exc)
-
-    started, own = [], parts[:1]
-    for part in parts[1:]:
-        thread = threading.Thread(target=helper, args=part)
-        try:
-            thread.start()
-        except RuntimeError:  # "can't start new thread"
-            own.append(part)
-        else:
-            started.append(thread)
-    try:
-        for part in own:
-            rows(*part)
-    finally:
-        for thread in started:
-            thread.join()
-    if errors:
-        raise errors[0]
 
 
 def _is_point(u, n: int) -> bool:
@@ -314,12 +237,13 @@ def _metric_input(dist, labels) -> tuple[np.ndarray, tuple[str, ...]]:
 def _point_distances(points, metric: str = "euclidean") -> np.ndarray:
     """The distance matrix of a point cloud under the euclidean, l1 or linf metric.
 
-    The table is built one coordinate at a time, in itself and one
-    scratch table, so n points in d dimensions take 2 n^2 floats rather
-    than (2d + 1) n^2.  Coordinates are summed in order, as numpy sums
-    fewer than eight terms, so up to seven dimensions the table has the
-    bits of the n x n x d difference array's sum; from eight on numpy
-    sums pairwise, and an l1 or euclidean entry may differ in its last bit.
+    Up to seven coordinates the table is built one coordinate at a time,
+    in itself and one scratch table: 2 n^2 floats rather than the
+    (2d + 1) n^2 of an n x n x d difference array.  numpy sums fewer than
+    eight terms in order, as this loop does, so the bits are the same.
+    From eight coordinates on numpy sums pairwise, and an l1 or euclidean
+    entry of the loop could differ in its last bit, so those clouds keep
+    the difference array.
     """
     pts = _float_array(points)
     if pts.ndim not in (1, 2):
@@ -330,6 +254,11 @@ def _point_distances(points, metric: str = "euclidean") -> np.ndarray:
         pts = pts[:, None]
     if metric not in ("euclidean", "l1", "linf"):
         raise InvalidInputError(f"unknown metric {metric!r}")
+    if pts.shape[1] >= 8:
+        diff = np.abs(pts[:, None, :] - pts[None, :, :])
+        if metric == "linf":
+            return diff.max(axis=2)
+        return np.sqrt((diff**2).sum(axis=2)) if metric == "euclidean" else diff.sum(axis=2)
     n = len(pts)
     table, scratch = np.zeros((n, n)), np.empty((n, n))
     for x in pts.T:

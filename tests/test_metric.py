@@ -1,7 +1,6 @@
 """Metric validation, pair families, and the greedy finder."""
 
 import json
-from contextlib import contextmanager
 from fractions import Fraction
 from unittest import mock
 
@@ -477,15 +476,6 @@ class TestBestDetours:
         assert _best_detours(np.array(dist))[0, 1] == 8.0
 
 
-
-@contextmanager
-def rows_in_parts(cpus: int = 3):
-    """Both row-split crossovers at 0 on `cpus` allowed CPUs, so small matrices run in parts."""
-    with mock.patch.object(metric, "_SPLIT_FROM", 0), mock.patch.object(metric, "_NARROW_SPLIT_FROM", 0):
-        with mock.patch.object(metric.os, "sched_getaffinity", lambda pid: set(range(cpus)), create=True):
-            yield
-
-
 # entries on both sides of the int16 bound, 2**13
 EDGES = tuple(float(sign * v) for v in (metric._NARROW_BOUND - 1, metric._NARROW_BOUND) for sign in (1, -1))
 INTEGRAL = st.one_of(st.integers(-9, 9).map(float), st.sampled_from(EDGES))
@@ -498,7 +488,7 @@ def shuffled_grid(kind: str, n: int, seed: int) -> np.ndarray:
     return gap if kind == "line" else np.minimum(gap, n - gap)
 
 
-class TestNarrowAndSplitDetours:
+class TestNarrowDetours:
     @settings(max_examples=200, deadline=None)
     @given(st.integers(1, 12), st.data())
     def test_matches_brute_force(self, n, data):
@@ -508,8 +498,7 @@ class TestNarrowAndSplitDetours:
         if data.draw(st.booleans(), label="odd entry"):
             odd = data.draw(st.sampled_from((-0.0, 0.5, -2.25, 1e-9, 3e4)), label="value")
             dist.flat[data.draw(st.integers(0, n * n - 1), label="at")] = odd
-        with rows_in_parts():
-            assert_best_detours(dist)
+        assert_best_detours(dist)
 
     @pytest.mark.parametrize(
         "entries, narrow",
@@ -531,11 +520,10 @@ class TestNarrowAndSplitDetours:
         # 2 * 8191 = 2**14 - 2, the largest sum in size, stays a sum and not "no k"
         dist = np.full((4, 4), value)
         assert metric._as_int16(dist) is not None
-        with rows_in_parts():
-            best = _best_detours(dist)
-            assert best[0, 1] == 2 * value and best.dtype == np.float64
-            assert_best_detours(dist)
-            assert np.all(_best_detours(dist[:2, :2]) == np.inf)
+        best = _best_detours(dist)
+        assert best[0, 1] == 2 * value and best.dtype == np.float64
+        assert_best_detours(dist)
+        assert np.all(_best_detours(dist[:2, :2]) == np.inf)
 
     @pytest.mark.parametrize("kind", ["line", "cycle"])
     @pytest.mark.parametrize("plant", [40.0, 5000.5, 9000.0])
@@ -548,61 +536,19 @@ class TestNarrowAndSplitDetours:
             i, j = rng.choice(300, size=2, replace=False)
             dist[i, j] = dist[j, i] = dist.max() + plant
         assert (metric._as_int16(dist) is not None) is (plant == 40.0)
-        with rows_in_parts(2):
-            for cap in (3, 50):
-                report = same_report(dist, cap)
-                assert 0 < len(report.violations) <= cap
-            assert same_report(shuffled_grid(kind, 300, seed=1), 50).ok
-
-    def test_split_matches_one_part(self):
-        for dist in (shuffled_grid("cycle", 61, seed=4), np.sqrt(shuffled_grid("line", 61, seed=5))):
-            whole = _best_detours(dist)
-            with rows_in_parts(7):
-                assert _best_detours(dist).tobytes() == whole.tobytes()
-
-    @pytest.mark.parametrize("n, cpus", [(2, 4), (3, 2), (10, 3), (400, 2), (1000, 5)])
-    def test_row_cuts_balance_the_work(self, monkeypatch, n, cpus):
-        monkeypatch.setattr(metric.os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
-        cuts = metric._row_cuts(n, 0)
-        assert cuts[0] == 0 and cuts[-1] == n - 1 and cuts == sorted(cuts)
-        assert len(cuts) - 1 == min(cpus, n - 1)
-        work = [sum(n - 1 - i for i in range(lo, hi)) for lo, hi in zip(cuts, cuts[1:])]
-        assert all(abs(w - n * (n - 1) / 2 / len(work)) <= n - 1 for w in work)  # within a row of equal
-        assert metric._row_cuts(n, n + 1) == [0, n - 1]
-
-    def test_helper_that_cannot_start_leaves_its_part_here(self, monkeypatch, capfd):
-        dist = shuffled_grid("cycle", 40, seed=6)
-        want = _best_detours(dist)
-
-        def refuse(self):
-            raise RuntimeError("can't start new thread")
-
-        monkeypatch.setattr(metric.threading.Thread, "start", refuse)
-        with rows_in_parts():
-            assert _best_detours(dist).tobytes() == want.tobytes()
-        assert capfd.readouterr().err == ""
-
-    def test_helper_exception_is_raised_here(self, monkeypatch, capfd):
-        hooked, done = [], []
-        monkeypatch.setattr(metric.threading, "excepthook", hooked.append)
-
-        def rows(lo, hi, scratch):
-            if lo:
-                raise MemoryError(f"part {lo}")
-            done.append(lo)
-
-        with pytest.raises(MemoryError, match="part 3"):
-            metric._run_parts(rows, [(0, 3, None), (3, 5, None)])
-        assert done == [0] and hooked == []
-        assert capfd.readouterr().err == ""
+        for cap in (3, 50):
+            report = same_report(dist, cap)
+            assert 0 < len(report.violations) <= cap
+        assert same_report(shuffled_grid(kind, 300, seed=1), 50).ok
 
 
 class TestPointDistances:
-    @pytest.mark.parametrize("dim", [0, 1, 2, 3, 7])
+    @pytest.mark.parametrize("dim", [0, 1, 2, 3, 7, 8, 9])
     @pytest.mark.parametrize("kind", ["euclidean", "l1", "linf"])
     def test_matches_the_broadcast_formula(self, dim, kind):
         # bit for bit, signs of zero included: numpy sums fewer than
-        # eight coordinates in order, as the per-coordinate table does
+        # eight coordinates in order, as the per-coordinate table does,
+        # and eight or more keep the difference array
         rng = np.random.default_rng(dim)
         for n in (0, 1, 5, 60):
             pts = rng.uniform(-5.0, 5.0, size=(n, dim)) * rng.choice([1e-3, 1.0, 1e6], size=(1, dim))
@@ -616,6 +562,7 @@ class TestPointDistances:
         assert metric._point_distances([0.0, 2.0, -1.0], "l1").tolist() == [[0, 2, 1], [2, 0, 3], [1, 3, 0]]
         with pytest.raises(InvalidInputError, match="unknown metric 'l2'"):
             metric._point_distances([[0.0, 1.0]], "l2")
+
 
 def l1_lattice(a: int, b: int, seed: int) -> FiniteMetricSpace:
     """Integer points of an a x b box under l1, in a shuffled label order."""
