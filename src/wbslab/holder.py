@@ -131,7 +131,8 @@ def pair_bump(
     if d_pair == 0.0:
         raise InvalidInputError(f"pair points must be distinct: {x_n!r}, {y_n!r}")
     d_to_center = space.dist[space.index(y_n)]
-    raw = np.minimum(1.0, d_pair**alpha - d_to_center**alpha / K**alpha)
+    with np.errstate(over="ignore"):  # a quotient past the float range is -inf here, then 0
+        raw = np.minimum(1.0, d_pair**alpha - d_to_center**alpha / K**alpha)
     inside = space.balls([y_n], [K * d_pair])[0]
     return ScalarField(space, np.where(inside, np.maximum(raw, 0.0), 0.0))
 
@@ -144,4 +145,5 @@ def tent_bump(space: FiniteMetricSpace, center: str, epsilon: float) -> ScalarFi
     """
     epsilon = validate_radius(epsilon)
     d = space.dist[space.index(center)]
-    return ScalarField(space, np.maximum(1.0 - d / epsilon, 0.0))
+    with np.errstate(over="ignore"):  # d / epsilon past the float range clamps to 0 as well
+        return ScalarField(space, np.maximum(1.0 - d / epsilon, 0.0))

@@ -159,8 +159,8 @@ def existing_file(source) -> Path | None:
 
 
 def cell_masses(masses) -> tuple[float, ...]:
-    """The masses as floats, each positive and finite; numpy-free for `classify linf`."""
-    masses = tuple(float(m) for m in masses)
+    """parse_floats of the masses, each positive and finite; numpy-free for `classify linf`."""
+    masses = parse_floats(masses)
     if not all(0 < m < math.inf for m in masses):  # NaN included
         raise InvalidInputError(f"cell masses must be positive and finite: {masses}")
     return masses

@@ -13,9 +13,11 @@ balls exactly.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
+from itertools import islice
 from numbers import Integral, Real
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -72,73 +74,62 @@ def validate_metric(
 ) -> ValidationReport:
     """Check the metric axioms on a raw square matrix.
 
-    Returns a report listing every violated axiom with the offending
-    points (capped at max_reported entries).  Non-square input, NaN or
-    infinite entries and labels that are not one distinct name per row
-    raise immediately.
+    Non-square input, NaN or infinite entries and labels that are not
+    one distinct name per row raise.  Otherwise the report lists the
+    first max_reported violations (a count, 1 or more) in one order:
+    diagonal; symmetry, then positivity, for i < j row-major; triangle,
+    k-major, then row-major with i < j.  The stages run only as far as
+    the report has room, so once diagonal, symmetry and positivity fill
+    it the O(n^3) triangle pass is skipped.  checked_triples is n**3 by
+    definition, the report's field either way, not a count of work done.
 
     A triangle violation is d_ij - b > triangle_rel * max(b, 1) for some
     b = d_ik + d_kj (the slack spares float Euclidean clouds).  Only
     pairs i < j are reported, so `_best_detours` builds best_ij = min
     over k not in {i, j} of d_ik + d_kj for j > i alone, one row i at a
-    time, and the slack test runs once on the result.  Both summands
-    are contiguous rows: row i of the matrix plus rows j > i of one
-    transposed copy, whose inf diagonal stands for k = j, with the
-    k = i column set to inf.  That scratch is freed before the test
-    builds its n x n temporaries.  The result is exact: float addition
-    commutes, float min picks one of the same sums in any order (up to
-    the sign of a zero, which changes neither test side), the float
-    d - b never increases as b grows and rel * max(b, 1) never
-    decreases, so some k violates iff the minimum does.  Only failing
-    pairs are then rescanned per k, to report k-major, then row-major
-    with i < j, up to the cap.
-
-    A matrix of integers below 2**13 in size with no -0.0 entry is
-    summed in int16, where every sum is exact and equals the float one,
-    so best keeps every bit.
+    time, and the slack test runs once on the result.  The result is
+    exact: float addition commutes, float min picks one of the same
+    sums in any order (up to the sign of a zero, which changes neither
+    test side), the float d - b never increases as b grows and
+    rel * max(b, 1) never decreases, so some k violates iff the minimum
+    does.  Only failing pairs are then rescanned per k, in report order.
+    A sum or difference past the float range is inf, which keeps every
+    test's answer.
     """
-    return _check_metric(*_metric_input(dist, labels), max_reported)
+    return _check_metric(*_metric_input(dist, labels), parse_count(max_reported, "max_reported"))
 
 
 def _check_metric(arr: np.ndarray, labels: tuple[str, ...], max_reported: int = 50) -> ValidationReport:
     """validate_metric's report on the matrix and labels _metric_input returned."""
+    found = islice(_violations(arr), min(max_reported, sys.maxsize))  # islice takes no larger stop
+    with np.errstate(over="ignore", invalid="ignore"):  # inf past the float range; rel = 0 times inf where no k exists
+        violations = [MetricViolation(kind, tuple(labels[i] for i in idx), detail) for kind, idx, detail in found]
+    return ValidationReport(violations, checked_triples=arr.shape[0] ** 3)
+
+
+def _violations(arr: np.ndarray) -> Iterator[tuple[str, tuple[int, ...], str]]:
+    """(kind, point indices, detail) of each broken axiom, in report order.
+
+    A stage builds its arrays only when the consumer asks past the one
+    before.  The errstate is the consumer's, so no yield sits inside one.
+    """
     rel = tolerances.DEFAULT_TOLERANCES.triangle_rel
-    n = arr.shape[0]
-
-    report = ValidationReport(checked_triples=n * n * n)
-
-    def add(kind: str, idx: tuple[int, ...], detail: str) -> None:
-        if len(report.violations) < max_reported:
-            report.violations.append(
-                MetricViolation(kind, tuple(labels[i] for i in idx), detail)
-            )
-
-    diag = np.abs(np.diagonal(arr))
-    for i in np.nonzero(diag > rel)[0]:
-        add("diagonal", (int(i),), f"d(x,x) = {arr[i, i]!r} != 0")
-
+    for i in np.nonzero(np.abs(np.diagonal(arr)) > rel)[0]:
+        yield "diagonal", (int(i),), f"d(x,x) = {arr[i, i]!r} != 0"
     asym = np.abs(arr - arr.T) > rel * np.maximum(np.abs(arr), 1.0)
     for i, j in zip(*np.nonzero(np.triu(asym, 1))):
-        add("symmetry", (int(i), int(j)), f"{arr[i, j]!r} vs {arr[j, i]!r}")
-
+        yield "symmetry", (int(i), int(j)), f"{arr[i, j]!r} vs {arr[j, i]!r}"
+    del asym
     for i, j in zip(*np.nonzero(np.triu(arr <= 0, 1))):
-        add("positivity", (int(i), int(j)), f"d = {arr[i, j]!r} <= 0 for distinct points")
-
+        yield "positivity", (int(i), int(j)), f"d = {arr[i, j]!r} <= 0 for distinct points"
     best = _best_detours(arr)
-    with np.errstate(invalid="ignore"):  # rel = 0 times inf for j <= i and where no k exists
-        rows, cols = np.nonzero(np.triu((arr - best) > rel * np.maximum(best, 1.0), 1))
-    if len(rows) == 0:
-        return report
-    for k in range(n):
-        room = max_reported - len(report.violations)
-        if room <= 0:
-            break
+    rows, cols = np.nonzero(np.triu((arr - best) > rel * np.maximum(best, 1.0), 1))
+    del best
+    for k in range(len(arr) if len(rows) else 0):  # no failing pair, no rescan
         bound = arr[rows, k] + arr[k, cols]
         hit = (arr[rows, cols] - bound > rel * np.maximum(bound, 1.0)) & (rows != k) & (cols != k)
-        for i, j in zip(rows[hit][:room], cols[hit][:room]):
-            detail = f"d = {arr[i, j]!r} > {arr[i, k]!r} + {arr[k, j]!r}"
-            add("triangle", (int(i), k, int(j)), detail)
-    return report
+        for i, j in zip(rows[hit], cols[hit]):
+            yield "triangle", (int(i), k, int(j)), f"d = {arr[i, j]!r} > {arr[i, k]!r} + {arr[k, j]!r}"
 
 
 # Integer matrices with every |d| below _NARROW_BOUND run the detour pass
@@ -254,18 +245,19 @@ def _point_distances(points, metric: str = "euclidean") -> np.ndarray:
         pts = pts[:, None]
     if metric not in ("euclidean", "l1", "linf"):
         raise InvalidInputError(f"unknown metric {metric!r}")
-    if pts.shape[1] >= 8:
-        diff = np.abs(pts[:, None, :] - pts[None, :, :])
-        if metric == "linf":
-            return diff.max(axis=2)
-        return np.sqrt((diff**2).sum(axis=2)) if metric == "euclidean" else diff.sum(axis=2)
-    n = len(pts)
-    table, scratch = np.zeros((n, n)), np.empty((n, n))
-    for x in pts.T:
-        np.subtract(x[:, None], x, out=scratch)
-        (np.square if metric == "euclidean" else np.abs)(scratch, out=scratch)
-        (np.maximum if metric == "linf" else np.add)(table, scratch, out=table)
-    return np.sqrt(table, out=table) if metric == "euclidean" else table
+    with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN entries are refused later
+        if pts.shape[1] >= 8:
+            diff = np.abs(pts[:, None, :] - pts[None, :, :])
+            if metric == "linf":
+                return diff.max(axis=2)
+            return np.sqrt((diff**2).sum(axis=2)) if metric == "euclidean" else diff.sum(axis=2)
+        n = len(pts)
+        table, scratch = np.zeros((n, n)), np.empty((n, n))
+        for x in pts.T:
+            np.subtract(x[:, None], x, out=scratch)
+            (np.square if metric == "euclidean" else np.abs)(scratch, out=scratch)
+            (np.maximum if metric == "linf" else np.add)(table, scratch, out=table)
+        return np.sqrt(table, out=table) if metric == "euclidean" else table
 
 
 def space_input(data) -> tuple:

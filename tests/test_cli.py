@@ -29,6 +29,7 @@ from wbslab.embed import (
 )
 from wbslab.errors import WbsLabError
 from wbslab.holder import pair_bump, tent_bump
+from wbslab.inputs import cell_masses
 from wbslab.metric import SeparatedPairFamily, find_pair_family, load_space
 from wbslab.schreier import count_max_at_most
 
@@ -182,6 +183,26 @@ class TestMetricAndPairs:
         code, payload = run_cli(capsys, "metric", "validate", json.dumps({"points": [[], []], "metric": kind}))
         assert code == 1
         assert [v["kind"] for v in payload["violations"]] == ["positivity"]
+
+    @pytest.mark.parametrize(
+        "space",
+        [
+            {"points": [[1e200], [-1e200]]},
+            {"points": [[1e308], [-1e308]], "metric": "linf"},
+            {"points": [[1e200] + [0.0] * 7, [-1e200] + [0.0] * 7]},
+        ],
+    )
+    def test_validate_points_past_the_float_range(self, capsys, space):
+        # the refusal as before, with no numpy overflow warning ahead of it
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["metric", "validate", json.dumps(space)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert json.loads(captured.err) == {
+            "error": "InvalidInputError",
+            "message": "distance matrix contains infinite entries",
+        }
 
     def test_validate_checks_a_points_space_once(self, capsys, space_file, monkeypatch):
         from wbslab import metric
@@ -621,6 +642,36 @@ class TestHolderAndEmbed:
             "message": "image norm overflows the float range at sup(a)=1e+308",
         }
 
+    @pytest.mark.parametrize(
+        "argv, center",
+        [
+            (["--kind", "pair", "--pair", "p0,p1", "--K", "5e-324", "--alpha", "1"], "p1"),
+            (["--kind", "tent", "--center", "p0", "--epsilon", "1e-320"], "p0"),
+        ],
+    )
+    def test_bump_quotients_past_the_float_range(self, capsys, space_file, argv, center):
+        # d / K**alpha and d / epsilon overflow at every point but the
+        # center, which clamps them to 0 as before, with no numpy warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["holder", "bump", str(space_file), *argv])
+        captured = capsys.readouterr()
+        assert code == 0 and captured.err == ""
+        labels = [f"p{i}" for i in range(8)]
+        values = [float(label == center) for label in labels]
+        assert json.loads(captured.out) == {"labels": labels, "support": [center], "values": values}
+
+    def test_embed_holder_with_the_least_separation_constant(self, capsys, space_file, tmp_path):
+        fam_path = tmp_path / "family.json"
+        fam_path.write_text(json.dumps({"K": 5e-324, "pairs": [["p0", "p1"], ["p5", "p6"]]}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["embed", "holder", str(space_file), str(fam_path), "--alpha", "1", "--vector", "1,2"])
+        captured = capsys.readouterr()
+        assert code == 0 and captured.err == ""
+        payload = json.loads(captured.out)
+        assert (payload["lower"], payload["upper"], payload["bound_upper"]) == (2.0, 2.0, math.inf)
+
     def test_embed_cb(self, capsys, space_file):
         code, payload = run_cli(
             capsys,
@@ -875,6 +926,23 @@ def test_cell_masses_rule(capsys, entry, masses):
     }
     message = f"cell masses must be positive and finite: {masses}"
     assert failure(capsys, calls[entry]) == ("InvalidInputError", message)
+
+
+@pytest.mark.parametrize(
+    "masses, detail",
+    [((True,), "got JSON boolean"), ((2.0, True), "got JSON boolean"), (("x",), "could not convert string to float: 'x'")],
+)
+@pytest.mark.parametrize("entry", ["cell_masses", "StepFunction", "embed_linf", "FiniteMeasurePartition"])
+def test_cell_masses_are_read_as_floats(capsys, entry, masses, detail):
+    # a boolean mass was read as 1.0, and a non-numeric one raised a bare ValueError
+    ones = (1.0,) * len(masses)
+    calls = {
+        "cell_masses": lambda: cell_masses(masses),
+        "StepFunction": lambda: StepFunction(ones, masses),
+        "embed_linf": lambda: embed_linf(FiniteSequence(ones), list(masses)),
+        "FiniteMeasurePartition": lambda: FiniteMeasurePartition(masses, is_terminal=True),
+    }
+    assert failure(capsys, calls[entry]) == ("InvalidInputError", f"expected a list of numbers: {detail}")
 
 
 @pytest.mark.parametrize("length", [1, 3])

@@ -1,5 +1,6 @@
 """Metric validation, pair families, and the greedy finder."""
 
+import contextlib
 import json
 from fractions import Fraction
 from unittest import mock
@@ -423,6 +424,116 @@ class TestValidateMatchesReference:
         for cap in CAPS:
             report = same_report(dist, cap)
             assert 0 < len(report.violations) <= cap
+
+    @pytest.mark.parametrize("cap", [1, 3, 50])
+    @pytest.mark.parametrize("extra", [-1, 0, 1])
+    def test_cheap_stages_around_the_cap(self, cap, extra):
+        # cap + extra diagonal, symmetry and positivity violations ahead
+        # of a planted long pair: only extra = -1 leaves room for a
+        # triangle, and a full report never reaches the detour pass
+        n = 60
+        dist = np.abs(np.subtract.outer(np.arange(n), np.arange(n))).astype(float)
+        dist[0, n - 1] = dist[n - 1, 0] = 10.0 * n
+        for t in range(cap + extra):
+            p = t + 1
+            if t % 3 == 0:
+                dist[p, p] = 0.5
+            elif t % 3 == 1:
+                dist[p, p + 1] += 0.5
+            else:
+                dist[p, p + 2] = dist[p + 2, p] = 0.0
+        skipped = mock.patch.object(metric, "_best_detours", side_effect=AssertionError("detour pass ran"))
+        with skipped if extra >= 0 else contextlib.nullcontext():
+            report = same_report(dist, cap)
+        assert len(report.violations) == cap
+        assert (report.violations[-1].kind == "triangle") is (extra == -1)
+
+
+class TestLazyStages:
+    """A report filled by the cheap stages never runs the O(n^3) detour pass."""
+
+    @staticmethod
+    def inputs():
+        rng = np.random.default_rng(60)
+        asymmetric = rng.uniform(1.0, 2.0, size=(60, 60))
+        np.fill_diagonal(asymmetric, 0.0)
+        diagonal = np.abs(np.subtract.outer(np.arange(60.0), np.arange(60.0))) + np.eye(60)
+        duplicates = metric._point_distances([[0.25, 4.0]] * 60)
+        return {"asymmetric": asymmetric, "duplicates": duplicates, "diagonal": diagonal}
+
+    @pytest.mark.parametrize("name", ["asymmetric", "duplicates", "diagonal"])
+    def test_full_report_skips_the_detour_pass(self, name):
+        dist = self.inputs()[name]
+        want = reference_validate_metric(dist)
+        first = want.violations[0]
+        message = f"not a metric: 50+ violation(s), first: {first.kind} at {first.points} ({first.detail})"
+        with mock.patch.object(metric, "_best_detours", side_effect=AssertionError("detour pass ran")):
+            assert validate_metric(dist).to_json() == want.to_json()
+            with pytest.raises(InvalidInputError) as info:
+                FiniteMetricSpace(dist)
+            assert str(info.value) == message
+            with pytest.raises(AssertionError, match="detour pass ran"):
+                validate_metric(dist, max_reported=10**9)
+        assert len(want.violations) == 50 and want.checked_triples == 60**3
+
+    @pytest.mark.parametrize(
+        "cap, message",
+        [
+            (0, "max_reported must be >= 1, got 0"),
+            (-3, "max_reported must be >= 1, got -3"),
+            (True, "expected a decimal integer, got JSON boolean"),
+            (2.0, "expected a decimal integer, got JSON number"),
+        ],
+    )
+    def test_cap_is_a_count(self, cap, message):
+        # a cap of 0 or below reported a non-metric as ok; True was read as 1
+        with pytest.raises(InvalidInputError) as info:
+            validate_metric([[0, 1], [2, 0]], max_reported=cap)
+        assert str(info.value) == message
+
+    def test_cap_past_the_violations(self):
+        report = validate_metric([[0, 1], [2, 0]], max_reported=10**21)
+        assert [v.kind for v in report.violations] == ["symmetry"]
+
+
+@pytest.mark.filterwarnings("error")
+class TestNoOverflowWarnings:
+    """Entries near the float range answer as before, with no numpy warning."""
+
+    @pytest.mark.parametrize(
+        "points, kind",
+        [
+            ([[1e200], [-1e200]], "euclidean"),
+            ([[1e308], [-1e308]], "linf"),
+            ([[1e200] + [0.0] * 7, [-1e200] + [0.0] * 7], "euclidean"),
+            ([[1e308] + [0.0] * 8, [-1e308] + [0.0] * 8], "l1"),
+            ([[np.inf], [0.0]], "euclidean"),
+            ([[np.inf] * 8, [np.inf] * 8], "linf"),
+        ],
+    )
+    def test_points_past_the_float_range_are_refused(self, points, kind):
+        with np.errstate(all="ignore"):
+            want = reference_point_distances(np.array(points), kind)
+        assert metric._point_distances(points, kind).tobytes() == want.tobytes()
+        with pytest.raises(InvalidInputError, match="NaN|infinite"):
+            FiniteMetricSpace.from_points(points, kind)
+
+    @pytest.mark.parametrize(
+        "dist",
+        [
+            [[0.0, 1e308, 1.7e308], [1e308, 0.0, 1e308], [1.7e308, 1e308, 0.0]],  # detours past the range
+            [[0.0, 1e308], [-1e308, 0.0]],  # d_ij - d_ji past the range
+            [[0.0, 1e308, -7.5e307], [1.0, 0.0, 1.0], [1.0, -7.5e307, 0.0]],  # d - best past the range
+            # a failing pair (p0, p1) whose rescan through p3 overflows
+            [[0.0, 100.0, 1.0, 1e308], [100.0, 0.0, 1.0, 1e308], [1.0, 1.0, 0.0, 1e308], [1e308] * 3 + [0.0]],
+        ],
+    )
+    @pytest.mark.parametrize("rel", [DEFAULT_TOLERANCES.triangle_rel, 0.0])
+    def test_matrices_near_the_float_range(self, dist, rel):
+        with mock.patch.object(tolerances, "DEFAULT_TOLERANCES", Tolerances(triangle_rel=rel)):
+            with np.errstate(all="ignore"):
+                want = reference_validate_metric(dist, max_reported=10**9)
+            assert validate_metric(dist, max_reported=10**9).to_json() == want.to_json()
 
 
 ENTRIES = st.one_of(
