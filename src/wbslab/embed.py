@@ -236,11 +236,17 @@ def build_support_map(
     The support of the n-th pair bump is exactly the open ball around
     y_n, so each point takes its profile value from the one bump whose
     ball holds it.  Later calls with the same family and alpha reuse the
-    tables.
+    tables.  A bound 2 / K**alpha + 1 past the float range is refused:
+    an upper test against inf would pass without testing anything.
     """
     alpha = validate_alpha(alpha)
     tables = _memoized(space, ("holder", family, alpha), lambda: _holder_tables(space, family, alpha))
-    return HolderEmbedding(space, family, alpha, *tables)
+    embedding = HolderEmbedding(space, family, alpha, *tables)
+    with np.errstate(over="ignore"):  # a numpy K overflows with a warning
+        bound = embedding.bound_upper
+    if not math.isfinite(bound):
+        raise InvalidInputError(f"bound 2 / K**alpha + 1 overflows for K = {float(family.K)!r}, alpha = {alpha!r}")
+    return embedding
 
 
 def _holder_tables(space: FiniteMetricSpace, family: SeparatedPairFamily, alpha: float) -> tuple:

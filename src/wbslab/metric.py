@@ -111,19 +111,33 @@ def _violations(arr: np.ndarray) -> Iterator[tuple[str, tuple[int, ...], str]]:
     """(kind, point indices, detail) of each broken axiom, in report order.
 
     A stage builds its arrays only when the consumer asks past the one
-    before.  The errstate is the consumer's, so no yield sits inside one.
+    before, and a clean stage costs one n x n comparison.  Symmetry and
+    positivity walk only the rows that hold a candidate, so a full
+    report stops at its last row.  The errstate is the consumer's, so no
+    yield sits inside one.  The slack rel is never negative.
     """
     rel = tolerances.DEFAULT_TOLERANCES.triangle_rel
     for i in np.nonzero(np.abs(np.diagonal(arr)) > rel)[0]:
         yield "diagonal", (int(i),), f"d(x,x) = {arr[i, i]!r} != 0"
-    asym = np.abs(arr - arr.T) > rel * np.maximum(np.abs(arr), 1.0)
-    for i, j in zip(*np.nonzero(np.triu(asym, 1))):
-        yield "symmetry", (int(i), int(j)), f"{arr[i, j]!r} vs {arr[j, i]!r}"
-    del asym
-    for i, j in zip(*np.nonzero(np.triu(arr <= 0, 1))):
-        yield "positivity", (int(i), int(j)), f"d = {arr[i, j]!r} <= 0 for distinct points"
+    unequal = arr != arr.T  # |a - a| = 0 passes every slack
+    for i in np.flatnonzero(unequal.any(axis=1)):
+        js = i + 1 + np.flatnonzero(unequal[i, i + 1 :])
+        a, b = arr[i, js], arr[js, i]
+        for j in js[np.abs(a - b) > rel * np.maximum(np.abs(a), 1.0)]:
+            yield "symmetry", (int(i), int(j)), f"{arr[i, j]!r} vs {arr[j, i]!r}"
+    del unequal
+    low = arr <= 0
+    np.fill_diagonal(low, False)
+    for i in np.flatnonzero(low.any(axis=1)):
+        for j in i + 1 + np.flatnonzero(low[i, i + 1 :]):
+            yield "positivity", (int(i), int(j)), f"d = {arr[i, j]!r} <= 0 for distinct points"
+    del low
     best = _best_detours(arr)
-    rows, cols = np.nonzero(np.triu((arr - best) > rel * np.maximum(best, 1.0), 1))
+    # d - b > rel * max(b, 1) >= 0 needs d > b, so only pairs with d > b are tested
+    rows, cols = np.nonzero(arr > best)
+    b = best[rows, cols]
+    fails = arr[rows, cols] - b > rel * np.maximum(b, 1.0)
+    rows, cols = rows[fails], cols[fails]
     del best
     for k in range(len(arr) if len(rows) else 0):  # no failing pair, no rescan
         bound = arr[rows, k] + arr[k, cols]
@@ -163,17 +177,34 @@ def _best_detours(arr: np.ndarray) -> np.ndarray:
         via = flat[: (n - i - 1) * n].reshape(n - i - 1, n)  # via[j - i - 1, k] = d_ik + d_kj
         np.add(work[i], cols[i + 1 :], out=via)
         via[:, i] = fill
-        np.min(via, axis=1, out=best[i, i + 1 :])
+        np.minimum.reduce(via, axis=1, out=best[i, i + 1 :])  # np.min without its Python wrapper
     return best if narrow is None else np.where(best < 2 * _NARROW_BOUND, best, np.inf)
 
 
 def _as_int16(arr: np.ndarray) -> np.ndarray | None:
     """arr in int16 if every entry is an integer below _NARROW_BOUND in size and none is -0.0."""
+    first = arr[:1]
+    if not np.array_equal(first, np.trunc(first)):  # before any whole-matrix pass
+        return None
     if not (np.abs(arr) < _NARROW_BOUND).all():  # NaN and inf fail here, before any cast
         return None
     narrow = arr.astype(np.int16)
     exact = (narrow == arr).all() and not np.signbit(arr[narrow == 0]).any()
     return narrow if exact else None
+
+
+def _relax(dist: np.ndarray, fill) -> None:
+    """Floyd-Warshall in place, with fill for "no path".
+
+    Step k sets d_ij = min(d_ij, d_ik + d_kj) only in rows with
+    d_ik != fill: elsewhere the sum is at least fill.  In int16 the edge
+    weights are integers >= 0 summing below _NARROW_BOUND, so a real
+    d_ik is below 2**13, a sum is at most 2**13 - 1 + _NARROW_FILL =
+    2**15 - 1, and "no path" stays exactly _NARROW_FILL.
+    """
+    for k in range(dist.shape[0]):
+        rows = np.nonzero(dist[:, k] != fill)[0]
+        dist[rows] = np.minimum(dist[rows], dist[rows, k, None] + dist[k])
 
 
 def _is_point(u, n: int) -> bool:
@@ -337,9 +368,19 @@ class FiniteMetricSpace:
                     f"edge ({u!r}, {v!r}, {w!r}) needs endpoints in 0..{n - 1} and a finite weight"
                 )
             dist[u, v] = dist[v, u] = min(dist[u, v], weight)
-        for k in range(n):  # rows with d_ik = inf would gain only inf + d_kj
-            rows = np.nonzero(dist[:, k] != np.inf)[0]
-            dist[rows] = np.minimum(dist[rows], dist[rows, k, None] + dist[k])
+        kept = dist[np.isfinite(dist)]  # each kept weight twice, and the zero diagonal
+        with np.errstate(over="ignore"):  # a sum past the float range is inf: not narrow
+            narrow = (
+                not np.signbit(kept).any()  # no weight below 0, none -0.0
+                and np.array_equal(kept, np.trunc(kept))
+                and kept.sum() < 2 * _NARROW_BOUND  # so every path is shorter than 2**13
+            )
+        if narrow:  # the same integers as the float loop, in a quarter of the bytes
+            paths = np.where(np.isinf(dist), _NARROW_FILL, dist).astype(np.int16)
+            _relax(paths, _NARROW_FILL)
+            dist = np.where(paths == _NARROW_FILL, np.inf, paths)
+        else:
+            _relax(dist, np.inf)
         if np.isinf(dist).any():
             raise InvalidInputError("graph is not connected")
         return cls(dist, labels)
@@ -449,7 +490,7 @@ def verify_pair_family(
     return PairFamilyReport(violations)
 
 
-_PREFIX = 4096  # candidates sorted in the first round of find_pair_family
+_PREFIX = 4096  # a matrix of at most this many entries is sorted in one round by find_pair_family
 
 
 def _conflicts(dist, xs, ys, radii, x, y, r, reach) -> np.ndarray:
@@ -466,14 +507,17 @@ def find_pair_family(
     Candidates are all ordered pairs of distinct points, visited by
     distance ascending (small balls are the easiest to keep disjoint),
     ties broken by the label order of the space: the order of a stable
-    argsort of the row-major matrix.  It is sorted lazily, _PREFIX
-    entries first, then prefixes four times longer; each round takes
-    every tie at its threshold, so the rounds concatenate to the full
-    sort.  The first live candidate is accepted, and every candidate
-    (x_c, y_c, r_c) that conflicts with the accepted (x, y, r) is masked
-    out: it shares a point, d(x_c, y) < r, d(x, y_c) < r_c, or
-    its ball meets B(y, r), i.e. y_c is closer than r_c to some point of
-    B(y, r).  So a candidate is accepted iff it passes against every pair
+    argsort of the row-major matrix.  It is sorted lazily: a matrix of
+    at most _PREFIX entries in one round, a larger one n + 8 *
+    target_count entries first (the n diagonal zeros, then 8 candidates
+    per pair sought, where a greedy on a fresh space reaches 2 to 4),
+    then prefixes four times longer.  Each round takes every tie at its
+    threshold, so the rounds concatenate to the full sort whatever
+    their sizes.  The first live candidate is accepted, and every
+    candidate (x_c, y_c, r_c) that conflicts with the accepted (x, y, r)
+    is masked out: it shares a point, d(x_c, y) < r, d(x, y_c) < r_c,
+    or its ball meets B(y, r), i.e. y_c is closer than r_c to some
+    point of B(y, r).  So a candidate is accepted iff it passes against every pair
     accepted before it.  Points are used at most once, so s points give
     at most floor(s/2) pairs.  The family is returned as found, possibly
     short of the target; it always re-verifies cleanly.
@@ -483,7 +527,7 @@ def find_pair_family(
     dist = space.dist
     flat = dist.ravel()
     accepted: list[tuple] = []  # (x, y, r, reach)
-    lo, size = -np.inf, _PREFIX
+    lo, size = -np.inf, flat.size if flat.size <= _PREFIX else len(space) + 8 * target_count
     while len(accepted) < target_count and lo < np.inf:
         thr = np.partition(flat, size - 1)[size - 1] if size < flat.size else np.inf
         idx = np.nonzero((flat > lo) & (flat <= thr))[0]

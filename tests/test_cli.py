@@ -667,10 +667,13 @@ class TestHolderAndEmbed:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code = main(["embed", "holder", str(space_file), str(fam_path), "--alpha", "1", "--vector", "1,2"])
+        # the bound 2 / K + 1 overflows, so no upper test could fail: refused
         captured = capsys.readouterr()
-        assert code == 0 and captured.err == ""
-        payload = json.loads(captured.out)
-        assert (payload["lower"], payload["upper"], payload["bound_upper"]) == (2.0, 2.0, math.inf)
+        assert code == 2 and captured.out == ""
+        assert json.loads(captured.err) == {
+            "error": "InvalidInputError",
+            "message": "bound 2 / K**alpha + 1 overflows for K = 5e-324, alpha = 1.0",
+        }
 
     def test_embed_cb(self, capsys, space_file):
         code, payload = run_cli(

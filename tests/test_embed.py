@@ -2,6 +2,7 @@
 
 import gc
 import random
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -129,6 +130,23 @@ class TestSupportMap:
         )
         with pytest.raises(InconsistentFamilyError):
             build_support_map(space, family, 1.0)
+
+    @pytest.mark.parametrize("K", [5e-324, np.float64(5e-324), 1e-308])
+    def test_bound_past_the_float_range_is_refused(self, K):
+        # 2 / K + 1 is inf, so an upper test against it could never fail
+        space = line_grid(10)
+        family = SeparatedPairFamily((("p0", "p1"), ("p5", "p6")), K)
+        message = re.escape(f"bound 2 / K**alpha + 1 overflows for K = {float(K)!r}, alpha = 1.0")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInputError, match=message):
+                build_support_map(space, family, 1.0)
+            with pytest.raises(InvalidInputError, match=message):
+                distortion_report(space, family, 1.0, [FiniteSequence((1.0, 2.0))])
+            # the same K under a smaller exponent, and a K just past the overflow at alpha = 1
+            assert build_support_map(space, family, 0.5).bound_upper == 2.0 / K**0.5 + 1.0
+            finite = SeparatedPairFamily(family.pairs, 2.3e-308)
+            assert build_support_map(space, finite, 1.0).bound_upper == 2.0 / 2.3e-308 + 1.0
 
 
 class TestEmbedHolder:

@@ -2,6 +2,7 @@
 
 import contextlib
 import json
+import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
@@ -425,6 +426,37 @@ class TestValidateMatchesReference:
             report = same_report(dist, cap)
             assert 0 < len(report.violations) <= cap
 
+    @pytest.mark.parametrize("a", [0.5, 1.0, 4.0, -4.0, 0.0])
+    @pytest.mark.parametrize("step", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("upper", [True, False])
+    def test_asymmetry_around_the_slack(self, a, step, upper):
+        # |a - b| just below, at and just above rel * max(|a|, 1) for the
+        # upper entry a, with rel = 2**-30 so that every difference is exact
+        rel = 2.0**-30
+        b = a + step * rel * max(abs(a), 1.0)
+        dist = np.array([[0.0, 3.0, 3.0], [3.0, 0.0, 3.0], [3.0, 3.0, 0.0]])
+        dist[0, 2], dist[2, 0] = (a, b) if upper else (b, a)
+        report = same_report(dist, 50, triangle_rel=rel)
+        fails = abs(a - b) > rel * max(abs(float(dist[0, 2])), 1.0)  # below a, the slack scales with b
+        assert any(v.kind == "symmetry" for v in report.violations) is fails
+        assert fails is (step > 1.0) or not upper
+
+    @pytest.mark.parametrize(
+        "dist",
+        [
+            [[0.0, 0.0, 1.0], [-0.0, 0.0, 1.0], [1.0, 1.0, -0.0]],  # mirrored signed zeros
+            [[-0.0, -0.0, 2.0], [0.0, 0.0, -0.0], [2.0, 0.0, 0.0]],
+            [[0.0, -1.0, 2.0], [-1.0, 0.0, 1.0], [2.0, 1.0, 0.0]],  # negative entries, mirrored or not
+            [[0.0, -1.0, -2.0, 1.0], [1.0, 0.0, -3.0, 2.0], [-2.0, -3.0, 0.0, -1.0], [1.0, 2.0, -1.0, 0.0]],
+            [[0.0, 2.0, 9.0, 1.0], [3.0, 0.0, 1.0, 1.0], [9.0, 1.0, 0.0, 5.0], [1.0, 2.0, 5.0, 0.0]],  # int16
+            [[0.0, 8191.0, -8191.0], [8191.0, 0.0, 1.0], [8191.0, 1.0, 0.0]],
+        ],
+    )
+    def test_signed_zero_negative_and_integer_entries(self, dist):
+        for cap in CAPS:
+            same_report(dist, cap)
+            same_report(dist, cap, triangle_rel=0.0)
+
     @pytest.mark.parametrize("cap", [1, 3, 50])
     @pytest.mark.parametrize("extra", [-1, 0, 1])
     def test_cheap_stages_around_the_cap(self, cap, extra):
@@ -476,6 +508,25 @@ class TestLazyStages:
                 validate_metric(dist, max_reported=10**9)
         assert len(want.violations) == 50 and want.checked_triples == 60**3
 
+    @pytest.mark.parametrize("name", ["asymmetric", "duplicates"])
+    def test_full_report_holds_only_masks(self, name):
+        # symmetry and positivity keep one n x n bool mask each and walk
+        # its rows until the report is full: no float temporaries, no
+        # list of every failing index pair
+        dist = np.kron(self.inputs()[name], np.ones((5, 5)))  # 300 points
+        if name == "asymmetric":
+            dist += np.arange(300.0) * 1e-6
+        np.fill_diagonal(dist, 0.0)
+        want = reference_validate_metric(dist)
+        tracemalloc.start()
+        try:
+            got = validate_metric(dist)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got.to_json() == want.to_json() and len(got.violations) == 50
+        assert peak < 2.5 * dist.size  # bytes: the 8-byte floats would need 8 per entry
+
     @pytest.mark.parametrize(
         "cap, message",
         [
@@ -526,6 +577,9 @@ class TestNoOverflowWarnings:
             [[0.0, 1e308, -7.5e307], [1.0, 0.0, 1.0], [1.0, -7.5e307, 0.0]],  # d - best past the range
             # a failing pair (p0, p1) whose rescan through p3 overflows
             [[0.0, 100.0, 1.0, 1e308], [100.0, 0.0, 1.0, 1e308], [1.0, 1.0, 0.0, 1e308], [1e308] * 3 + [0.0]],
+            # detours of -inf: d - (-inf) = inf fails, as d > -inf does
+            [[0.0, -1e308, -1.7e308], [-1e308, 0.0, -1e308], [-1.7e308, -1e308, 0.0]],
+            [[0.0, 1e308, -1e308, 5.0], [1e308, 0.0, -1e308, 1e308], [-1e308, -1e308, 0.0, 1.0], [5.0, 1e308, 1.0, 0.0]],
         ],
     )
     @pytest.mark.parametrize("rel", [DEFAULT_TOLERANCES.triangle_rel, 0.0])
@@ -621,6 +675,10 @@ class TestNarrowDetours:
             ([[0.0, 0.5], [1.0, 0.0]], False),
             ([[0.0, np.inf], [1.0, 0.0]], False),
             ([[0.0, np.nan], [1.0, 0.0]], False),
+            ([[0.5, 1.0], [1.0, 0.0]], False),  # the first row ends the check
+            ([[0.0, 1.0], [1.5, 0.0]], False),  # a later row does
+            ([[0.0, 1.0], [1.0, 9000.0]], False),
+            (np.zeros((0, 0)), True),
         ],
     )
     def test_int16_rule(self, entries, narrow):
@@ -760,6 +818,26 @@ class TestFindPastFirstPrefix:
                 assert got == reference_find_pair_family(space, K, count).to_json()
                 assert len(got["pairs"]) == min(count, top)
 
+    @pytest.mark.parametrize("kind", ["line", "cycle", "integers"])
+    @pytest.mark.parametrize("n", (30, 64, 65, 90))
+    @pytest.mark.parametrize("count", (1, 3, 20, 100))
+    def test_first_round_sized_to_the_count(self, kind, n, count):
+        # a matrix past _PREFIX entries sorts n + 8 * count entries first;
+        # on these ties straddle that threshold, and count 100 exhausts
+        # every round
+        if kind == "integers":
+            dist = np.random.default_rng(n).integers(1, 5, size=(n, n)).astype(float)
+            np.fill_diagonal(dist, 0.0)
+            space = unvalidated_space(dist)
+        else:
+            space = TIE_HEAVY[kind](n)
+        flat = np.sort(space.dist, axis=None)
+        first = n + 8 * count
+        if n * n > _PREFIX:
+            assert flat[first - 1] == flat[first]
+        got = find_pair_family(space, 0.25, count).to_json()
+        assert got == reference_find_pair_family(space, 0.25, count).to_json()
+
     def test_clouds_succeed_past_first_prefix(self):
         for seed, metric in enumerate(("euclidean", "linf", "l1")):
             space = random_cloud(100 + 10 * seed, 2, seed, metric)
@@ -814,17 +892,72 @@ def fresh_floyd_warshall(n, edges):
     return expected
 
 
+def relaxed(n, edges):
+    """from_graph's matrix, unchecked, and the dtypes it relaxed in; or the refusal."""
+    dtypes, relax = [], metric._relax
+    spy = lambda dist, fill: dtypes.append(dist.dtype) or relax(dist, fill)
+    with mock.patch.object(metric, "_relax", spy), mock.patch.object(metric, "_check_metric", lambda *_: ValidationReport()):
+        try:
+            return FiniteMetricSpace.from_graph(n, edges).dist, dtypes
+        except InvalidInputError as exc:
+            return str(exc), dtypes
+
+
+WEIGHTS = {
+    "float": lambda rng: float(rng.uniform(0.1, 5.0)),
+    "integer": lambda rng: float(rng.integers(0, 4)),  # zeros included: int16
+    "large": lambda rng: float(rng.integers(100, 400)),  # sums on both sides of 2**13
+}
+
+
 class TestFromGraph:
-    @settings(max_examples=40, deadline=None)
-    @given(st.integers(2, 40), st.integers(0, 10**6), st.integers(0, 60))
-    def test_matches_fresh_array_floyd_warshall(self, n, seed, extra):
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 40), st.integers(0, 10**6), st.integers(0, 60), st.sampled_from(sorted(WEIGHTS)))
+    def test_matches_fresh_array_floyd_warshall(self, n, seed, extra, kind):
         rng = np.random.default_rng(seed)
+        weight = WEIGHTS[kind]
         order = rng.permutation(n)
-        edges = [(int(order[i]), int(order[i + 1]), float(rng.uniform(0.1, 5.0))) for i in range(n - 1)]
+        edges = [(int(order[i]), int(order[i + 1]), weight(rng)) for i in range(n - 1)]
         ends = rng.integers(0, n, size=(extra, 2))
-        edges += [(int(u), int(v), float(rng.uniform(0.1, 5.0))) for u, v in ends if u != v]
+        edges += [(int(u), int(v), weight(rng)) for u, v in ends if u != v]
         expected = fresh_floyd_warshall(n, edges)
-        assert FiniteMetricSpace.from_graph(n, edges).dist.tobytes() == expected.tobytes()
+        dist, dtypes = relaxed(n, edges)
+        assert dist.tobytes() == expected.tobytes()
+        least = {}  # the weight kept per edge
+        for u, v, w in edges:
+            least[u, v] = least[v, u] = min(least.get((u, v), w), w)
+        narrow = kind != "float" and sum(least.values()) < 2 * 2**13
+        assert dtypes == [np.int16 if narrow else np.float64]
+
+    @pytest.mark.parametrize(
+        "edges, narrow",
+        [
+            ([(0, 1, 8191.0), (1, 2, 0.0)], True),  # 8191 + fill = 2**15 - 1
+            ([(0, 1, 8192.0), (1, 2, 0.0)], False),  # 8192 + fill would wrap in int16
+            ([(0, 1, 4095), (1, 2, 4096.0), (2, 3, 0)], True),
+            ([(0, 1, 4096.0), (1, 2, 4096.0), (2, 3, 0.0)], False),
+            ([(0, 1, 0.0), (1, 2, 0.0), (2, 3, 1.0)], True),
+            ([(0, 1, -0.0), (1, 2, 1.0), (2, 3, 1.0)], False),
+            ([(0, 1, -1.0), (1, 2, 2.0), (2, 3, 1.0)], False),
+            ([(0, 1, 0.5), (1, 2, 2.0), (2, 3, 1.0)], False),
+            ([(0, 1, 2.5), (0, 1, 2.0), (1, 0, 3.0), (1, 2, 1.0), (2, 3, 1.0)], True),  # parallel edges: the least kept
+            ([(0, 1, 9000.0), (0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)], True),
+            ([(0, 1, 1.0), (0, 1, 0.5), (1, 2, 1.0), (2, 3, 1.0)], False),
+            ([(1, 1, 5.0), (0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)], True),  # a loop keeps the zero diagonal
+            ([(0, 1, 1.0), (2, 3, 1.0)], True),  # disconnected
+            ([(0, 1, 1.5), (2, 3, 1.0)], False),
+            ([(0, 1, 8191.0), (2, 3, 0.0)], True),
+        ],
+    )
+    def test_int16_relaxation_is_the_float_one(self, edges, narrow):
+        n = max(max(u, v) for u, v, _ in edges) + 1
+        dist, dtypes = relaxed(n, edges)
+        assert dtypes == [np.int16 if narrow else np.float64]
+        expected = fresh_floyd_warshall(n, edges)
+        if np.isinf(expected).any():
+            assert dist == "graph is not connected"
+        else:
+            assert dist.tobytes() == expected.tobytes()
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(4, 60), st.integers(2, 5), st.integers(0, 10**6), st.booleans())
